@@ -103,8 +103,7 @@ def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
             "REPRO_NET_TOKEN/REPRO_NET_TLS supply ambient defaults); "
             "results are bit-identical to the same command "
             "with --workers 1 for any worker set, including under "
-            "worker disconnects (figure4: --cluster implies the intra "
-            "shard axis, so compare against --shard intra --workers 1)"
+            "worker disconnects"
         ),
     )
     parser.add_argument(
@@ -368,18 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["batched", "kernel", "auto", "reference"],
         default="batched",
         help="execution engine for the subset sampling",
-    )
-    figure4.add_argument(
-        "--shard",
-        choices=["auto", "codes", "intra"],
-        default="auto",
-        help=(
-            "parallelism axis for --workers: whole codes per process "
-            "('codes', legacy streams), strata within each code ('intra', "
-            "sharded streams, worker-count invariant), or 'auto' "
-            "(default): intra only for a single code with workers > 1, "
-            "so plain workers=1 runs keep the legacy numbers"
-        ),
     )
     _add_shard_flags(figure4)
     _add_trace_flags(figure4)
@@ -942,8 +929,8 @@ def _cmd_simulate(args) -> int:
 
     protocol = synthesize_protocol(get_code(args.code))
     model = _noise_model(args)
-    # The CLI always uses the sharded draw scheme (workers=1 runs the
-    # identical chunk plan inline), so --workers never changes results.
+    # workers=1 runs the identical chunk plan inline, so --workers never
+    # changes results.
     with SubsetSampler.for_protocol(
         protocol,
         engine=engine,
@@ -978,9 +965,8 @@ def _cmd_simulate(args) -> int:
             rng = np.random.default_rng(args.seed + 1)
             for p in sweep:
                 # One open executor session for the whole sweep: the
-                # sampler's (the CLI path is always sharded), so a
-                # cluster run pays one handshake/compile per worker,
-                # not one per sweep point.
+                # sampler's, so a cluster run pays one handshake/compile
+                # per worker, not one per sweep point.
                 estimate = direct_mc(
                     sampler.engine,
                     model.with_p(p) if model is not None else E1_1(p=p),
@@ -1020,7 +1006,6 @@ def _cmd_figure4(args) -> int:
         shots=args.shots,
         seed=args.seed,
         engine=args.engine,
-        shard=args.shard,
         model=_noise_model(args),
         **_shard_kwargs(args),
     )

@@ -31,20 +31,14 @@ be ``0`` for an ephemeral bind. Query parameters:
 
 :meth:`Endpoint.render` is the exact inverse of :func:`parse_endpoint`
 — specs survive a render/parse round trip byte-for-byte, which is what
-lets the ``figure4`` spawn-pool pickle carry endpoint strings instead of
-live sockets.
-
-The legacy address forms — ``(host, port)`` tuples and
-:func:`repro.sim.cluster.parse_hostports` — are deprecated but accepted
-everywhere :func:`parse_endpoint` landed; they warn once per process
-(:func:`_warn_legacy_address`) and carry no TLS/token fields.
+lets a pickled :class:`repro.sim.cluster.ClusterExecutorFactory` carry
+endpoint strings instead of live sockets.
 """
 
 from __future__ import annotations
 
 import ipaddress
 import os
-import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 from urllib.parse import parse_qsl, quote, unquote
@@ -196,25 +190,6 @@ def _read_token_file(path: str) -> str:
     return token
 
 
-_legacy_warned = False
-
-
-def _warn_legacy_address(form: str) -> None:
-    """The single DeprecationWarning path for pre-endpoint address forms
-    (bare ``(host, port)`` tuples, :func:`parse_hostports`). Warned once
-    per process so a many-worker loop does not spam."""
-    global _legacy_warned
-    if _legacy_warned:
-        return
-    _legacy_warned = True
-    warnings.warn(
-        f"{form} is deprecated; pass an endpoint spec "
-        "'HOST:PORT[?tls=1&token=...]' (repro.net.parse_endpoint) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 def _split_hostport(text: str, default_port: int | None) -> tuple[str, int]:
     if text.startswith("["):  # bracketed IPv6 literal
         bracket = text.find("]")
@@ -250,10 +225,9 @@ def parse_endpoint(
 ) -> Endpoint:
     """Parse one endpoint spec into an :class:`Endpoint`.
 
-    Accepts an :class:`Endpoint` (returned unchanged), the canonical
+    Accepts an :class:`Endpoint` (returned unchanged) or the canonical
     ``HOST:PORT[?params]`` string (bare ``HOST`` allowed when
-    ``default_port`` is given), or a legacy ``(host, port)`` tuple
-    (deprecated — warns once, carries no security fields).
+    ``default_port`` is given).
 
     ``use_env=False`` ignores the ``REPRO_NET_TLS`` default (the token
     environment default is always lazy, see
@@ -262,14 +236,7 @@ def parse_endpoint(
     if isinstance(spec, Endpoint):
         return spec
     if not isinstance(spec, str):
-        try:
-            host, port = spec
-        except (TypeError, ValueError):
-            raise ValueError(f"cannot parse endpoint from {spec!r}") from None
-        _warn_legacy_address("passing (host, port) address tuples")
-        return Endpoint(
-            str(host), int(port), tls=_env_tls_default() if use_env else False
-        )
+        raise ValueError(f"cannot parse endpoint from {spec!r}")
     text = spec.strip()
     if not text:
         raise ValueError("empty endpoint spec")
@@ -302,24 +269,13 @@ def parse_endpoints(
     use_env: bool = True,
 ) -> tuple[Endpoint, ...]:
     """A comma-separated spec string (or an iterable of specs /
-    endpoints / legacy pairs) into a tuple of endpoints.
-
-    A single ``(host, port)`` pair is recognized before iteration, so
-    both ``parse_endpoints(("h", 1))`` and ``parse_endpoints([("h", 1)])``
-    work (deprecated forms, one warning).
-    """
+    endpoints) into a tuple of endpoints."""
     if isinstance(spec, Endpoint):
         parts: Sequence = [spec]
     elif isinstance(spec, str):
         parts = [piece for piece in spec.split(",") if piece.strip()]
     else:
         parts = list(spec)
-        if (
-            len(parts) == 2
-            and isinstance(parts[0], str)
-            and isinstance(parts[1], int)
-        ):
-            parts = [tuple(parts)]  # a single bare (host, port) pair
     endpoints = tuple(
         parse_endpoint(part, default_port=default_port, use_env=use_env)
         for part in parts

@@ -37,7 +37,7 @@ from ..net.tls import client_ssl_context
 from ..obs import trace as obs_trace
 from .schema import SERVE_PROTOCOL_VERSION
 
-__all__ = ["DEFAULT_SERVE_PORT", "ServeClient", "ServeError", "parse_hostport"]
+__all__ = ["DEFAULT_SERVE_PORT", "ServeClient", "ServeError"]
 
 #: ``repro serve``'s conventional port, filled in for bare-HOST specs.
 DEFAULT_SERVE_PORT = 7790
@@ -45,19 +45,6 @@ DEFAULT_SERVE_PORT = 7790
 
 class ServeError(RuntimeError):
     """An error event returned by the daemon for one request."""
-
-
-def parse_hostport(text: str, default_port: int = 7790) -> tuple[str, int]:
-    """Deprecated: ``HOST:PORT`` (or bare ``HOST``) -> (host, port).
-
-    Superseded by :func:`repro.net.parse_endpoint`, which understands
-    the full endpoint grammar (TLS, tokens); this shim drops any
-    security fields a spec may carry.
-    """
-    from ..net.endpoint import _warn_legacy_address
-
-    _warn_legacy_address("parse_hostport()")
-    return parse_endpoint(text, default_port=default_port, use_env=False).address
 
 
 class ServeClient:
@@ -87,7 +74,7 @@ class ServeClient:
             endpoint = parse_endpoint(host, default_port=DEFAULT_SERVE_PORT)
         else:
             # The classic (host, port) call shape — an endpoint with
-            # ambient defaults, no deprecation noise.
+            # ambient defaults.
             endpoint = Endpoint(str(host), int(port), tls=_env_tls_default())
         self.endpoint = endpoint
         if endpoint.token is None and endpoint.token_file is None and token:

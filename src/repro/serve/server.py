@@ -184,6 +184,10 @@ class ReproServer:
         # (kind, key) -> _Inflight; loop-confined (touched only on the
         # event loop), which is what makes check-then-register atomic.
         self._inflight: dict[tuple, _Inflight] = {}
+        # Open client connections and the event set while there are
+        # none; loop-confined, like _inflight.
+        self._connections = 0
+        self._idle: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.base_events.Server | None = None
         self._stop_event: asyncio.Event | None = None
@@ -213,6 +217,8 @@ class ReproServer:
     async def _main(self, ready: threading.Event | None = None) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
+        self._idle = asyncio.Event()
+        self._idle.set()
         self._server = await asyncio.start_server(
             self._handle_client, self.host, self.port, ssl=self._ssl_context
         )
@@ -258,6 +264,23 @@ class ReproServer:
             self._thread.join(timeout=30)
             self._thread = None
             self._pool.shutdown(wait=False, cancel_futures=True)
+
+    def drain(self, timeout: float = 30.0) -> dict:
+        """A :attr:`stats` snapshot of the quiescent daemon.
+
+        Waits on the loop thread until every client connection has
+        closed and its requests have finished, then snapshots there, so
+        no counter is read mid-request (``requests`` and ``errors`` move
+        in one loop step). For a running daemon whose clients are gone.
+        """
+
+        async def idle_snapshot() -> dict:
+            await self._idle.wait()
+            return self.stats.snapshot()
+
+        return asyncio.run_coroutine_threadsafe(
+            idle_snapshot(), self._loop
+        ).result(timeout)
 
     # -- resident state --------------------------------------------------------
 
@@ -700,6 +723,16 @@ class ReproServer:
             self._wire.frames_received += 1
 
     async def _handle_client(self, reader, writer):
+        self._connections += 1
+        self._idle.clear()
+        try:
+            await self._serve_connection(reader, writer)
+        finally:
+            self._connections -= 1
+            if not self._connections:
+                self._idle.set()
+
+    async def _serve_connection(self, reader, writer):
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
         peer = writer.get_extra_info("peername")

@@ -20,7 +20,6 @@ from .cluster import (
     ClusterEvaluator,
     ClusterExecutorFactory,
     ClusterWorker,
-    parse_hostports,
 )
 from .decoder import LookupDecoder
 from .frame import Injection, ProtocolRunner, RunResult, protocol_locations
@@ -128,7 +127,6 @@ __all__ = [
     "materialize_stratum",
     "merge_injection_dicts",
     "merge_partials",
-    "parse_hostports",
     "parse_mem_budget",
     "parse_noise_spec",
     "poisson_binomial_tail",

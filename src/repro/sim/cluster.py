@@ -114,7 +114,6 @@ from ..net.auth import (
 from ..net.endpoint import (
     AddressAllowlist,
     Endpoint,
-    _warn_legacy_address,
     ambient_token,
     parse_endpoint,
     parse_endpoints,
@@ -150,7 +149,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ClusterProtocolError",
     "ClusterError",
-    "parse_hostports",
     "send_frame",
     "recv_frame",
     "ClusterWorker",
@@ -192,19 +190,6 @@ ClusterProtocolError = WireProtocolError
 
 class ClusterError(RuntimeError):
     """The cluster cannot finish the workload (e.g. every worker died)."""
-
-
-def parse_hostports(spec) -> tuple[tuple[str, int], ...]:
-    """Deprecated: ``"h1:p1,h2:p2"`` (or an iterable of same /
-    (host, port) pairs) into a tuple of ``(host, port)`` addresses.
-
-    Superseded by :func:`repro.net.parse_endpoints`, which understands
-    the full endpoint grammar (TLS, tokens) and is what every repro
-    consumer now calls; this shim survives for old callers, warns once
-    per process, and drops any security fields a spec may carry.
-    """
-    _warn_legacy_address("parse_hostports()")
-    return tuple(ep.address for ep in parse_endpoints(spec, use_env=False))
 
 
 def _negotiate_codec(peer_codecs) -> str:
@@ -887,9 +872,8 @@ class ClusterEvaluator:
     addresses:
         Worker endpoints — ``"host:port[?tls=1&token=...],host:port"``
         or an iterable of specs / :class:`~repro.net.Endpoint` objects
-        (:func:`repro.net.parse_endpoints`; legacy ``(host, port)``
-        pairs still work, with one deprecation warning). Connections
-        are opened lazily on the first ``map`` and reused across calls.
+        (:func:`repro.net.parse_endpoints`). Connections are opened
+        lazily on the first ``map`` and reused across calls.
     max_slab / mem_budget:
         Chunk memory bound, forwarded to the planner *and* to every
         worker in the handshake header. ``mem_budget`` sizes the slab
@@ -1414,9 +1398,9 @@ class ClusterExecutorFactory:
     token: str | None = None
 
     def __post_init__(self):
-        # Accept every historical shape — spec strings, Endpoint objects,
-        # (host, port) pairs — but *store* canonical endpoint strings:
-        # picklable, render/parse round-trip exact, environment-lazy.
+        # Accept spec strings and Endpoint objects, but *store* canonical
+        # endpoint strings: picklable, render/parse round-trip exact,
+        # environment-lazy.
         endpoints = parse_endpoints(self.addresses, use_env=False)
         object.__setattr__(
             self, "addresses", tuple(ep.render() for ep in endpoints)

@@ -191,8 +191,8 @@ def budget_key(protocol_digest_hex: str, model) -> str | None:
 # Result keys name *what a computation is about*, never how it was run:
 # the engine name is deliberately absent (results are engine-invariant —
 # batched, kernel, and reference produce bit-identical tallies), while
-# anything that perturbs the random stream (seed, shot plan, slab size,
-# scheme) is included. Built on :func:`protocol_digest`, so the same key
+# anything that perturbs the random stream (seed, shot plan, slab size)
+# is included. Built on :func:`protocol_digest`, so the same key
 # comes out of the CLI, the daemon, fork/spawn pool workers, and a fresh
 # interpreter (property-tested in ``tests/serve/test_keys.py``).
 
@@ -226,7 +226,6 @@ def series_key(
     k_max: int,
     seed: int,
     exact_k1: bool = True,
-    scheme: str = "sharded",
     max_slab: int | None = None,
     mem_budget: int | None = None,
     direct_check_at: float | None = None,
@@ -234,18 +233,18 @@ def series_key(
 ) -> str | None:
     """Key of one sampled stratum-tally series (a ``run_series`` point).
 
-    ``scheme`` is ``"sharded"`` (StratumPlanner chunks; identical for
-    any worker count, so the worker count is *not* part of the key) or
-    ``"serial"`` (the legacy single-stream sampler, a different draw
-    stream). ``max_slab`` re-seeds sampled strata chunk-by-chunk, so it
-    is part of the plan; None means the scheme default.
+    Series draw from StratumPlanner chunks, identical for any worker
+    count, so the worker count is *not* part of the key. ``max_slab``
+    re-seeds sampled strata chunk-by-chunk, so it is part of the plan;
+    None means the sampler default.
     """
     plan = {
         "shots": int(shots),
         "k_max": int(k_max),
         "seed": int(seed),
         "exact_k1": bool(exact_k1),
-        "scheme": scheme,
+        # Constant: kept so keys of existing ledgers stay byte-identical.
+        "scheme": "sharded",
         "max_slab": None if max_slab is None else int(max_slab),
         "mem_budget": None if mem_budget is None else int(mem_budget),
         "direct_check_at": direct_check_at,

@@ -3,7 +3,7 @@
 The acceptance contract of ``repro.sim.noisemodels``:
 
 * E1_1 routed through the new ``model=`` seam is **bit-identical** to not
-  passing a model at all — on the subset sampler (serial and sharded),
+  passing a model at all — on the subset sampler (inline and sharded),
   the FT certificate, the exact two-fault budget, and direct MC;
 * ``BiasedPauliModel`` logical-failure estimates on Steane agree with the
   per-shot :class:`ReferenceSampler` within Monte-Carlo error;
@@ -46,7 +46,7 @@ def strata_tallies(sampler):
 class TestE11SeamBitIdentity:
     """Passing model=E1_1 must change nothing, bit for bit."""
 
-    def test_subset_sampler_serial(self, steane_protocol):
+    def test_subset_sampler_inline(self, steane_protocol):
         plain = SubsetSampler.for_protocol(
             steane_protocol, rng=np.random.default_rng(7)
         )

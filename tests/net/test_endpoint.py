@@ -1,9 +1,7 @@
 """The one endpoint grammar (``repro.net.endpoint``): parse, render,
-environment defaults, legacy-form deprecation, and the allowlist."""
+environment defaults, and the allowlist."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -14,7 +12,6 @@ from repro.net import (
     parse_endpoint,
     parse_endpoints,
 )
-from repro.net import endpoint as endpoint_module
 
 
 class TestGrammar:
@@ -91,6 +88,12 @@ class TestGrammar:
         with pytest.raises(ValueError):
             parse_endpoints("")
 
+    def test_address_tuples_are_not_specs(self):
+        with pytest.raises(ValueError, match="cannot parse endpoint"):
+            parse_endpoint(("h", 7781))
+        with pytest.raises(ValueError, match="cannot parse endpoint"):
+            parse_endpoints([("h", 7781)])
+
 
 class TestRenderRoundTrip:
     @pytest.mark.parametrize(
@@ -160,32 +163,6 @@ class TestEnvironmentDefaults:
         assert not parse_endpoint("h:1?tls=0").tls  # explicit beats env
         monkeypatch.setenv("REPRO_NET_TLS", "off")
         assert not parse_endpoint("h:1").tls
-
-
-class TestLegacyForms:
-    def test_tuple_form_warns_once_per_process(self, monkeypatch):
-        monkeypatch.setattr(endpoint_module, "_legacy_warned", False)
-        with pytest.warns(DeprecationWarning, match="endpoint spec"):
-            ep = parse_endpoint(("h", 7781))
-        assert ep.address == ("h", 7781)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second use: silent
-            assert parse_endpoint(("h", 7782)).port == 7782
-
-    def test_parse_hostports_shim(self, monkeypatch):
-        monkeypatch.setattr(endpoint_module, "_legacy_warned", False)
-        from repro.sim.cluster import parse_hostports
-
-        with pytest.warns(DeprecationWarning):
-            pairs = parse_hostports("a:1,b:2")
-        assert pairs == (("a", 1), ("b", 2))
-
-    def test_parse_hostport_shim(self, monkeypatch):
-        monkeypatch.setattr(endpoint_module, "_legacy_warned", False)
-        from repro.serve.client import parse_hostport
-
-        with pytest.warns(DeprecationWarning):
-            assert parse_hostport("10.0.0.1") == ("10.0.0.1", 7790)
 
 
 class TestAddressAllowlist:

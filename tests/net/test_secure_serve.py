@@ -197,8 +197,9 @@ class TestTLSFaultInjection:
             ServeClient(endpoint, connect_timeout=5.0)
         # The plaintext daemon sees the ClientHello as malformed request
         # lines — counted as errors, never as work.
-        assert server.stats.computes == 0
-        assert server.stats.errors == server.stats.requests
+        stats = server.drain()
+        assert stats["computes"] == 0
+        assert stats["errors"] == stats["requests"]
 
     def test_plaintext_client_against_tls_daemon(self, spin_server, tls_cert_pair):
         server, secure = spin_server(tls_pair=tls_cert_pair)

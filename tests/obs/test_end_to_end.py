@@ -34,14 +34,14 @@ def spin_workers():
     """In-process ``ClusterWorker`` servers on real localhost sockets."""
     started: list[ClusterWorker] = []
 
-    def factory(count: int = 2, **kwargs) -> list[tuple[str, int]]:
+    def factory(count: int = 2, **kwargs) -> list[str]:
         workers = [
             ClusterWorker("127.0.0.1", 0, **kwargs) for _ in range(count)
         ]
         for worker in workers:
             threading.Thread(target=worker.serve_forever, daemon=True).start()
         started.extend(workers)
-        return [worker.address for worker in workers]
+        return [f"{worker.host}:{worker.port}" for worker in workers]
 
     yield factory
     for worker in started:
@@ -59,7 +59,7 @@ class TestTracedFigure4Cluster:
     ):
         cached_protocol("steane")  # warm the synthesis cache
         addresses = spin_workers(2)
-        cluster_arg = ",".join(f"{host}:{port}" for host, port in addresses)
+        cluster_arg = ",".join(addresses)
         trace_path = tmp_path / "figure4.jsonl"
         # Small slab -> many chunks, so the credit scheduler feeds both
         # workers; fresh ledger roots per run so neither run replays.
@@ -107,9 +107,7 @@ class TestTracedFigure4Cluster:
             for record in spans
             if record["name"] == "cluster.chunk"
         }
-        assert chunk_workers == {
-            f"{host}:{port}" for host, port in addresses
-        }
+        assert chunk_workers == set(addresses)
         # Worker-side spans parent into the coordinator's tree: every
         # cluster.chunk hangs off a span that exists in this trace (the
         # orphan check above already guarantees it — make it explicit).

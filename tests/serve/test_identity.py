@@ -204,7 +204,8 @@ class TestClusterBackend:
                 0,
                 ledger=tmp_path / "ledger",
                 executor=ClusterExecutorFactory(
-                    [dying.address, survivor.address], connect_timeout=10.0
+                    [f"127.0.0.1:{dying.port}", f"127.0.0.1:{survivor.port}"],
+                    connect_timeout=10.0,
                 ),
             )
         )

@@ -9,8 +9,10 @@ Ledger keys must name *what* is computed, never *how* or *where*:
 * execution knobs (engine name, worker count) and derived-per-request
   data (the sweep grid) are excluded, so one record serves every
   engine and grid;
-* anything that changes the drawn sample stream (seed, shots, scheme,
-  slab bound, chunk identity) is included.
+* anything that changes the drawn sample stream (seed, shots, slab
+  bound, chunk identity) is included;
+* keys already written to ledgers never move (a pinned digest guards
+  the daemon's sweep key).
 """
 
 import multiprocessing
@@ -51,7 +53,6 @@ class TestKeyScheme:
             dict(_series_kwargs(), k_max=2),
             dict(_series_kwargs(), seed=2026),
             dict(_series_kwargs(), exact_k1=False),
-            dict(_series_kwargs(), scheme="serial"),
             dict(_series_kwargs(), max_slab=4096),
             dict(_series_kwargs(), mem_budget=1 << 20),
             dict(_series_kwargs(), direct_check_at=1e-3),
@@ -120,6 +121,29 @@ class TestKeyScheme:
         assert a != store_keys.direct_key(digest, model, shots=4000, seed=2026)
         assert a != store_keys.direct_key(
             digest, E1_1(p=2e-3), shots=4000, seed=2025
+        )
+
+    def test_daemon_sweep_key_is_pinned(self):
+        """Existing ledgers stay warm: the daemon's sweep key for a fixed
+        protocol digest is byte-identical to the one ledgers already
+        hold (digests recorded before the draw stream was unified)."""
+        from repro.serve.schema import normalize_request, request_key
+
+        digest_hex = "5eed" * 16
+        norm = normalize_request(
+            "sweep",
+            {"code": "steane", "shots": 4000, "seed": 2025,
+             "direct_check_at": 1e-3},
+        )
+        assert request_key("sweep", norm, digest_hex, None) == (
+            "series",
+            "2fd9af6c06cb54cfd8a131262b9e1369cbe110e144d78261fba8c4007f2fbfe8",
+        )
+        assert request_key(
+            "sweep", norm, digest_hex, None, max_slab=4096
+        ) == (
+            "series",
+            "8fbfa9a0ef6aded2b637cddd773ac70f51fb0f6a064d725cb7578e33a41e3477",
         )
 
     def test_unpicklable_model_disables_caching(self, digest):

@@ -23,6 +23,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.net import parse_endpoint
 from repro.sim.cluster import (
     ClusterError,
     ClusterEvaluator,
@@ -30,7 +31,6 @@ from repro.sim.cluster import (
     ClusterProtocolError,
     ClusterWorker,
     PROTOCOL_VERSION,
-    parse_hostports,
     recv_frame,
     send_frame,
 )
@@ -64,14 +64,14 @@ def spin_workers():
     localhost TCP sockets; all stopped at teardown."""
     started: list[ClusterWorker] = []
 
-    def factory(count: int = 2, **kwargs) -> list[tuple[str, int]]:
+    def factory(count: int = 2, **kwargs) -> list[str]:
         workers = [
             ClusterWorker("127.0.0.1", 0, **kwargs) for _ in range(count)
         ]
         for worker in workers:
             threading.Thread(target=worker.serve_forever, daemon=True).start()
         started.extend(workers)
-        return [worker.address for worker in workers]
+        return [f"{worker.host}:{worker.port}" for worker in workers]
 
     yield factory
     for worker in started:
@@ -124,7 +124,7 @@ class TestWireFormat:
 
         (address,) = spin_workers(1)
         payload = (*engine_payload(steane_engine), 64)
-        sock = socket.create_connection(address, timeout=5)
+        sock = socket.create_connection(parse_endpoint(address).address, timeout=5)
         try:
             send_frame(
                 sock,
@@ -138,7 +138,7 @@ class TestWireFormat:
 
     def test_bad_magic_rejected(self, steane_engine, spin_workers):
         (address,) = spin_workers(1)
-        sock = socket.create_connection(address, timeout=5)
+        sock = socket.create_connection(parse_endpoint(address).address, timeout=5)
         try:
             send_frame(sock, ("hello", b"NOT-REPRO", PROTOCOL_VERSION, None))
             reply = recv_frame(sock)
@@ -163,7 +163,9 @@ class TestWireFormat:
         thread.start()
         try:
             evaluator = ClusterEvaluator(
-                steane_engine, [server.getsockname()[:2]], max_slab=32
+                steane_engine,
+                ["127.0.0.1:%d" % server.getsockname()[1]],
+                max_slab=32,
             )
             with pytest.raises(ClusterProtocolError, match="wrong era"):
                 evaluator._ensure_links()
@@ -171,22 +173,13 @@ class TestWireFormat:
             thread.join(timeout=5)
             server.close()
 
-    def test_parse_hostports(self):
-        assert parse_hostports("a:1,b:2") == (("a", 1), ("b", 2))
-        assert parse_hostports([("h", 9)]) == (("h", 9),)
-        assert parse_hostports("[::1]:5") == (("[::1]", 5),)
-        with pytest.raises(ValueError):
-            parse_hostports("")
-        with pytest.raises(ValueError):
-            parse_hostports("noport")
-
     def test_unregistered_engine_refused(self):
         class FakeEngine:
             name = "batched"
             locations = []
 
         with pytest.raises(ValueError, match="registered engines"):
-            ClusterEvaluator(FakeEngine(), [("127.0.0.1", 1)])
+            ClusterEvaluator(FakeEngine(), ["127.0.0.1:1"])
 
 
 class TestAdaptiveSlabPolicy:
@@ -241,7 +234,7 @@ class TestAdaptiveSlabPolicy:
     def test_cluster_evaluator_takes_mem_budget(self, steane_engine):
         budget = 1 << 20
         evaluator = ClusterEvaluator(
-            steane_engine, [("127.0.0.1", 1)], mem_budget=budget
+            steane_engine, ["127.0.0.1:1"], mem_budget=budget
         )
         expected = AdaptiveSlabPolicy(budget).slab_for(steane_engine)
         assert evaluator.max_slab == expected
@@ -316,12 +309,17 @@ class TestExactlyOnceMerging:
         self, steane_engine, spin_workers
     ):
         (address,) = spin_workers(1)
-        dead = ("127.0.0.1", _free_port())
+        dead_port = _free_port()
         with ClusterEvaluator(
-            steane_engine, [dead, address], max_slab=64, connect_timeout=2.0
+            steane_engine,
+            [f"127.0.0.1:{dead_port}", address],
+            max_slab=64,
+            connect_timeout=2.0,
         ) as evaluator:
             merged = evaluator.reduce(evaluator.planner.plan_pairs())
-            assert [failure[0] for failure in evaluator.failed_addresses] == [dead]
+            assert [failure[0] for failure in evaluator.failed_addresses] == [
+                ("127.0.0.1", dead_port)
+            ]
         inline = ShardedEvaluator(steane_engine, max_slab=64)
         baseline = inline.reduce(inline.planner.plan_pairs())
         assert merged.failures == baseline.failures
@@ -331,7 +329,7 @@ class TestExactlyOnceMerging:
         with pytest.raises(ClusterError, match="no cluster worker"):
             with ClusterEvaluator(
                 steane_engine,
-                [("127.0.0.1", _free_port())],
+                [f"127.0.0.1:{_free_port()}"],
                 connect_timeout=2.0,
             ) as evaluator:
                 evaluator.reduce(evaluator.planner.plan_pairs())
@@ -511,7 +509,7 @@ class TestConsumerParity:
         protocol = cached_protocol("steane")  # warm the synthesis cache
         assert protocol is not None
         addresses = spin_workers(2)
-        inline = run_figure4(["steane"], shots=400, workers=1, shard="intra")[0]
+        inline = run_figure4(["steane"], shots=400, workers=1)[0]
         clustered = run_figure4(
             ["steane"],
             shots=400,
@@ -558,8 +556,8 @@ class TestEngineCacheReuse:
     def test_digest_is_stable_across_coordinators(self, steane_engine):
         """Two evaluators over the same engine payload share one digest,
         so a worker serves both from one compiled engine."""
-        a = ClusterEvaluator(steane_engine, [("127.0.0.1", 1)])
-        b = ClusterEvaluator(steane_engine, [("127.0.0.1", 1)])
+        a = ClusterEvaluator(steane_engine, ["127.0.0.1:1"])
+        b = ClusterEvaluator(steane_engine, ["127.0.0.1:1"])
         assert a.payload_digest == b.payload_digest
 
     def test_mislabeled_payload_rejected_not_cached(
@@ -575,7 +573,7 @@ class TestEngineCacheReuse:
         (address,) = spin_workers(1)
         payload_bytes = pickle.dumps(engine_payload(steane_engine))
         header = {"digest": "0" * 64, "max_slab": 64, "model": None}
-        sock = socket.create_connection(address, timeout=5)
+        sock = socket.create_connection(parse_endpoint(address).address, timeout=5)
         try:
             send_frame(
                 sock,
@@ -669,7 +667,7 @@ class TestPipelinedFabric:
         import repro.sim.cluster as cluster_module
 
         (address,) = spin_workers(1)
-        sock = socket.create_connection(address, timeout=5)
+        sock = socket.create_connection(parse_endpoint(address).address, timeout=5)
         try:
             send_frame(
                 sock,
@@ -755,7 +753,7 @@ class TestPipelinedFabric:
         )
 
     def test_depth_resolution_and_clamping(self, steane_engine):
-        addresses = [("127.0.0.1", 1)]
+        addresses = ["127.0.0.1:1"]
         assert (
             ClusterEvaluator(steane_engine, addresses).pipeline_depth == 4
         )
@@ -794,12 +792,12 @@ class TestPipelinedFabric:
 
     def test_executor_factory_forwards_depth(self, steane_engine):
         explicit = ClusterExecutorFactory(
-            (("127.0.0.1", 1),), pipeline_depth=7
+            ("127.0.0.1:1",), pipeline_depth=7
         )
         assert explicit(steane_engine, 64).pipeline_depth == 7
         budget = 1 << 22
         derived = ClusterExecutorFactory(
-            (("127.0.0.1", 1),), mem_budget=budget
+            ("127.0.0.1:1",), mem_budget=budget
         )
         expected = AdaptiveSlabPolicy(budget).pipeline_depth_for(
             steane_engine, 64

@@ -241,36 +241,20 @@ class TestWorkerCountDeterminism:
         assert baseline == sharded
 
     def test_figure4_intra_shard_identical_across_workers(self):
-        """shard="intra" must use the sharded scheme at every worker
-        count, including workers=1 (the inline plan), so the series
-        never depends on the pool size."""
+        """A single code shards inside the code; every worker count runs
+        the same chunk plan (workers=1 inline), so the series never
+        depends on the pool size."""
         from repro.experiments.figure4 import run_figure4
 
         protocol = cached_protocol("steane")  # warm the synthesis cache
         assert protocol is not None
         series = {
-            w: run_figure4(
-                ["steane"], shots=400, workers=w, shard="intra"
-            )[0]
+            w: run_figure4(["steane"], shots=400, workers=w)[0]
             for w in (1, 2)
         }
         assert series[1].shots == series[2].shots
         assert [e.mean for e in series[1].estimates] == [
             e.mean for e in series[2].estimates
-        ]
-
-    def test_figure4_auto_keeps_legacy_stream_at_workers_1(self):
-        """A plain workers=1 run must reproduce the same numbers whether
-        one code or many are requested — auto only opts into the sharded
-        stream when intra parallelism is actually asked for."""
-        from repro.experiments.figure4 import run_figure4
-
-        protocol = cached_protocol("steane")
-        assert protocol is not None
-        single = run_figure4(["steane"], shots=400, workers=1)[0]
-        swept = run_figure4(["steane", "shor"], shots=400, workers=1)[0]
-        assert [e.mean for e in single.estimates] == [
-            e.mean for e in swept.estimates
         ]
 
     def test_survey_identical_across_workers(self):
@@ -288,6 +272,80 @@ class TestWorkerCountDeterminism:
             max_slab=64,
         )
         assert serial == sharded
+
+
+class TestOneDrawStream:
+    """The library defaults draw from the same chunk plans as every
+    explicit worker count: there is one engine stream."""
+
+    @pytest.fixture(scope="class")
+    def inline(self):
+        return _stream_results({"workers": 1})
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"workers": 1}, {"workers": 2}],
+        ids=["default", "workers=1", "workers=2"],
+    )
+    def test_series_strata_and_direct_tallies_identical(self, inline, kwargs):
+        assert _stream_results(kwargs) == inline
+
+    def test_multi_code_pool_matches_single_code_runs(self):
+        from repro.experiments.figure4 import run_figure4
+
+        codes = ["steane", "shor"]
+        pooled = run_figure4(codes, shots=300, workers=2, ledger=False)
+        singles = [
+            run_figure4([code], shots=300, ledger=False)[0] for code in codes
+        ]
+        assert [_series_view(s) for s in pooled] == [
+            _series_view(s) for s in singles
+        ]
+
+
+def _series_view(series):
+    """Everything a Figure4Series reports except its wall time."""
+    return (
+        series.code,
+        series.estimates,
+        series.f1_exact,
+        series.shots,
+        series.direct,
+    )
+
+
+def _stream_results(kwargs):
+    """Sampler strata, a run_series curve (with its direct check), and a
+    direct_mc tally, each drawn with the given ``workers`` kwargs."""
+    from repro.experiments.figure4 import run_series
+
+    protocol = cached_protocol("steane")
+    with SubsetSampler.for_protocol(
+        protocol, rng=np.random.default_rng(21), **kwargs
+    ) as sampler:
+        sampler.enumerate_k1_exact()
+        sampler.sample(1200)
+        strata = {
+            k: (s.trials, s.failures, s.exact)
+            for k, s in sampler.strata.items()
+        }
+        direct = direct_mc(
+            sampler.engine,
+            E1_1(p=0.05),
+            3000,
+            rng=np.random.default_rng(4),
+            **kwargs,
+        )
+    series = run_series(
+        "steane",
+        protocol=protocol,
+        shots=600,
+        seed=9,
+        direct_check_at=0.05,
+        direct_shots=1500,
+        ledger=False,
+        **kwargs,
+    )
+    return strata, (direct.trials, direct.failures), _series_view(series)
 
 
 class TestBoundedStreaming:

@@ -42,7 +42,8 @@ def spin_worker():
 
 
 def _run_session(engine, address, seed=42):
-    evaluator = ClusterEvaluator(engine, [address], max_slab=256)
+    host, port = address
+    evaluator = ClusterEvaluator(engine, [f"{host}:{port}"], max_slab=256)
     merged = evaluator.reduce(evaluator.planner.plan_stratum(2, 1200, seed))
     info = evaluator._links[0].info
     evaluator.close()

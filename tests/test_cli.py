@@ -79,11 +79,14 @@ class TestParser:
                 ["budget", "steane", "--engine", "warp"]
             )
 
-    def test_figure4_shard_axis(self):
-        args = build_parser().parse_args(["figure4"])
-        assert args.shard == "auto"
-        args = build_parser().parse_args(["figure4", "--shard", "intra"])
-        assert args.shard == "intra"
+    def test_figure4_parallelism_is_workers_only(self):
+        """figure4's series do not depend on how the sweep executes, so
+        it has no axis flag: --workers alone picks the parallelism."""
+        args = build_parser().parse_args(["figure4", "--workers", "2"])
+        assert args.workers == 2
+        assert not hasattr(args, "shard")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["figure4", "--shard", "intra"])
 
     def test_cluster_worker_subcommand(self):
         args = build_parser().parse_args(
