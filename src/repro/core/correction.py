@@ -24,8 +24,12 @@ correctability predicate ``ok[e][m] = (wt_R(e + c_m) <= 1)`` is
 * total weight ``sum_{i,q} s_i[q] <= v`` via a totalizer (assumption-probed).
 
 Lexicographic optimality loop: smallest ``u`` (with ``u = 0`` checked
-directly — a single shared recovery, no SAT needed), then smallest ``v`` —
-UNSAT at ``u - 1`` / ``v - 1`` is the paper's optimality certificate.
+directly — a single shared recovery, no SAT needed), then smallest ``v``.
+The optimality certificate is UNSAT at ``u - 1``, and for the weight
+either UNSAT at ``v - 1`` (the paper's) or ``v = u * w_min``: every
+measured stabilizer is ``x G`` for a non-zero selector ``x``, so none
+weighs less than ``w_min = min_selector_weight(G)`` and the loop stops
+without that last probe.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..pauli.group import CosetReducer
-from ..pauli.symplectic import as_bit_matrix
+from ..pauli.symplectic import as_bit_matrix, min_selector_weight
 from ..sat.cardinality import Totalizer
 from ..sat.cnf import CNF
 from ..sat.encode import encode_and, encode_xor_chain
@@ -107,6 +111,7 @@ def synthesize_correction(
             [], {(): candidates[direct].copy()}, num_errors=len(errors)
         )
     basis = as_bit_matrix(detection_basis, n)
+    floor = max(1, min_selector_weight(basis))
     for u in range(1, max_measurements + 1):
         encoder = _CorrectionEncoder(basis, errors, candidates, ok, u)
         solver = CachedSolver(encoder.cnf)
@@ -115,7 +120,7 @@ def synthesize_correction(
             continue
         best = encoder.extract(result.model, errors, candidates, reducer)
         best_v = best.cnot_count
-        while best_v > u:
+        while best_v > u * floor:
             probe = solver.solve(
                 assumptions=encoder.totalizer.at_most(best_v - 1)
             )

@@ -23,6 +23,7 @@ __all__ = [
     "solve",
     "span_iter",
     "span_matrix",
+    "min_selector_weight",
     "min_weight_in_coset",
     "min_weight_vector_in_coset",
     "independent_rows",
@@ -190,6 +191,29 @@ def span_matrix(basis: np.ndarray) -> np.ndarray:
         out[size : 2 * size] = out[:size] ^ reduced[i]
         size *= 2
     return out
+
+
+def min_selector_weight(basis: np.ndarray) -> int:
+    """``min { wt(x @ basis) : x != 0 }`` over all ``2^r - 1`` selector rows.
+
+    Every measurement a synthesis encoder builds is ``x @ basis`` for a
+    non-zero selector ``x``, so ``u`` measurements weigh at least ``u``
+    times this. It is 0 when the rows are dependent (some selector gives
+    the zero vector), so it is *not* the span's minimum non-zero weight.
+    Walks the selectors in Gray-code order: ``2^r`` steps.
+    """
+    rows = [
+        int.from_bytes(np.packbits(row).tobytes(), "big")
+        for row in as_bit_matrix(basis)
+    ]
+
+    def weights():
+        combo = 0
+        for i in range(1, 1 << len(rows)):
+            combo ^= rows[(i & -i).bit_length() - 1]  # flip one selector bit
+            yield bin(combo).count("1")
+
+    return min(weights(), default=0)
 
 
 def min_weight_in_coset(group: np.ndarray, vec: np.ndarray) -> int:

@@ -10,7 +10,9 @@ one CNF is a pure function of the formula — so it can be recorded once
 and replayed from disk.
 
 :class:`CachedSolver` wraps :class:`repro.sat.solver.Solver` with exactly
-that transcript cache, keyed by :func:`repro.store.keys.cnf_digest`:
+that transcript cache, keyed by :func:`transcript_key` (the CNF digest
+and the solver's ``SEARCH_REVISION``, so a transcript recorded by an
+older search is never mixed into a newer one):
 
 * **Replay** — while the caller's assumption sequence matches the
   recorded one (it always does for an unchanged pipeline), results come
@@ -31,15 +33,25 @@ With the store disabled this is a zero-overhead pass-through to
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from .cnf import CNF
-from .solver import Solver, SolveResult
+from .solver import SEARCH_REVISION, Solver, SolveResult
 
-__all__ = ["CachedSolver"]
+__all__ = ["CachedSolver", "transcript_key"]
 
 #: Store entry kind for SAT transcripts.
 _KIND = "sat"
+
+
+def transcript_key(cnf: CNF) -> str:
+    """Store key of ``cnf``'s transcript under the current search."""
+    from ..store.keys import cnf_digest
+
+    text = f"search-r{SEARCH_REVISION}:{cnf_digest(cnf)}"
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def _pack(assumptions: tuple, result: SolveResult) -> tuple:
@@ -84,7 +96,6 @@ class CachedSolver:
 
     def __init__(self, cnf: CNF, *, store=None):
         from ..store import resolve_store
-        from ..store.keys import cnf_digest
 
         self._cnf = cnf
         self._store = resolve_store(store)
@@ -95,7 +106,7 @@ class CachedSolver:
         if self._store is None:
             self._solver = Solver(cnf)
         else:
-            self._key = cnf_digest(cnf)
+            self._key = transcript_key(cnf)
             cached = self._store.get_object(_KIND, self._key)
             if isinstance(cached, list):
                 self._records = cached

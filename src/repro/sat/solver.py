@@ -10,8 +10,18 @@ Feature set (classic MiniSat-style architecture):
 * first-UIP conflict analysis with clause minimization by reason subsumption,
 * VSIDS variable activities with periodic rescaling + phase saving,
 * Luby restarts,
-* learnt-clause database reduction by activity,
+* learnt-clause database reduction by learn order (the older half of the
+  long, unlocked learnts is dropped),
 * incremental solving under assumptions.
+
+Branching picks the unassigned variable with the highest activity, ties
+to the lowest index. The heap is lazy: it holds ``(-activity, var)``
+entries, and every unassigned variable keeps one entry carrying its
+current activity. Activities change only while a variable is assigned
+(conflict analysis bumps assigned variables), so a variable is pushed
+when it is unassigned unless its current entry is still pending, and
+stale entries are discarded as they surface. A rescale scales the heap
+keys with the activities, so the pick is always that argmax.
 
 The implementation favours flat lists and local-variable caching; it solves
 the paper's correction-synthesis instances (tens of thousands of clauses) in
@@ -20,13 +30,20 @@ seconds, which matches how the authors use Z3 (many small decision queries).
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .cnf import CNF, internal_to_lit, lit_to_internal
 
 __all__ = ["Solver", "SolveResult"]
 
+#: Revision of the search. ``repro.sat.cache`` folds it into every
+#: transcript key; bump it with any change that can move a trajectory.
+#: 2: heap keys rescale with the activities.
+SEARCH_REVISION = 2
+
 _LUBY_BASE = 128
+#: Activities above this are rescaled by its inverse (MiniSat's 1e100).
+_RESCALE_LIMIT = 1e100
 
 
 def _luby(i: int) -> int:
@@ -90,8 +107,10 @@ class Solver:
         self._activity = [0.0] * nv
         self._var_inc = 1.0
         self._var_decay = 0.95
-        self._cla_activity: dict[int, float] = {}
-        self._heap: list[tuple[float, int]] = []
+        # Sorted, hence already a heap; every var's entry is pending.
+        self._heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, nv)]
+        # True while the heap holds (-activity[v], v) for var v.
+        self._pending = [True] * nv
         self._phase = [0] * nv
         self._seen = [0] * nv
         self._ok = True
@@ -102,8 +121,6 @@ class Solver:
             if not self._add_clause([lit_to_internal(l) for l in clause]):
                 self._ok = False
                 break
-        for v in range(1, nv):
-            heappush(self._heap, (0.0, v))
 
     # -- clause management --------------------------------------------------
 
@@ -166,10 +183,15 @@ class Solver:
         """Unit propagation; returns a conflicting clause or None."""
         watches = self._watches
         values = self._values
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            self.propagations += 1
+        levels = self._level
+        reasons = self._reason
+        trail = self._trail
+        level = len(self._trail_lim)
+        qhead = self._qhead
+        start = qhead
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
             false_lit = lit ^ 1
             watch_list = watches[lit]
             i = 0
@@ -189,31 +211,33 @@ class Solver:
                     j += 1
                     continue
                 # Find a new literal to watch.
-                found = False
                 for k in range(2, len(clause)):
                     other = clause[k]
-                    ovar = other >> 1
-                    oval = values[ovar]
+                    oval = values[other >> 1]
                     if oval < 0 or (oval ^ (other & 1)) == 1:
                         clause[1], clause[k] = clause[k], clause[1]
                         watches[clause[1] ^ 1].append(clause)
-                        found = True
                         break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                watch_list[j] = clause
-                j += 1
-                if fval >= 0:  # first is false too -> conflict
-                    while i < n:
-                        watch_list[j] = watch_list[i]
-                        j += 1
-                        i += 1
-                    del watch_list[j:]
-                    return clause
-                if not self._enqueue(first, clause):
-                    raise AssertionError("enqueue of unassigned literal failed")
+                else:
+                    # Clause is unit or conflicting.
+                    watch_list[j] = clause
+                    j += 1
+                    if fval >= 0:  # first is false too -> conflict
+                        while i < n:
+                            watch_list[j] = watch_list[i]
+                            j += 1
+                            i += 1
+                        del watch_list[j:]
+                        self._qhead = qhead
+                        self.propagations += qhead - start
+                        return clause
+                    values[fvar] = 1 - (first & 1)
+                    levels[fvar] = level
+                    reasons[fvar] = clause
+                    trail.append(first)
             del watch_list[j:]
+        self._qhead = qhead
+        self.propagations += qhead - start
         return None
 
     # -- conflict analysis ---------------------------------------------------
@@ -221,29 +245,40 @@ class Solver:
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """First-UIP learning. Returns (learnt clause, backjump level)."""
         seen = self._seen
+        levels = self._level
+        reasons = self._reason
+        trail = self._trail
+        activity = self._activity
+        pending = self._pending
+        var_inc = self._var_inc
         learnt = [0]  # placeholder for the asserting literal
         counter = 0
         lit = -1
         reason: list[int] | None = conflict
-        index = len(self._trail)
+        index = len(trail)
         current_level = len(self._trail_lim)
         while True:
             if reason is None:
                 raise AssertionError("decision reached before UIP")
-            start = 0 if lit == -1 else 1
-            for k in range(start, len(reason)):
+            for k in range(0 if lit == -1 else 1, len(reason)):
                 q = reason[k]
                 var = q >> 1
-                if not seen[var] and self._level[var] > 0:
+                if not seen[var] and levels[var] > 0:
                     seen[var] = 1
-                    self._bump_var(var)
-                    if self._level[var] >= current_level:
+                    # Bump: var is assigned, so its pending entry is stale.
+                    act = activity[var] + var_inc
+                    activity[var] = act
+                    pending[var] = False
+                    if act > _RESCALE_LIMIT:
+                        self._rescale()
+                        var_inc = self._var_inc
+                    if levels[var] >= current_level:
                         counter += 1
                     else:
                         learnt.append(q)
             while True:
                 index -= 1
-                lit = self._trail[index]
+                lit = trail[index]
                 if seen[lit >> 1]:
                     break
             var = lit >> 1
@@ -251,79 +286,92 @@ class Solver:
             counter -= 1
             if counter == 0:
                 break
-            reason = self._reason[var]
+            reason = reasons[var]
         learnt[0] = lit ^ 1
         # Clause minimization: drop literals implied by the rest.
         minimized = [learnt[0]]
         for q in learnt[1:]:
-            var = q >> 1
-            red = self._reason[var]
+            red = reasons[q >> 1]
             if red is None or any(
-                not seen[r >> 1] and self._level[r >> 1] > 0
-                for r in red[1:]
+                not seen[r >> 1] and levels[r >> 1] > 0 for r in red[1:]
             ):
                 minimized.append(q)
         for q in learnt[1:]:
-            self._seen[q >> 1] = 0
+            seen[q >> 1] = 0
         learnt = minimized
         if len(learnt) == 1:
-            backjump = 0
-        else:
-            # Second-highest decision level in the clause.
-            levels = sorted((self._level[q >> 1] for q in learnt[1:]), reverse=True)
-            backjump = levels[0]
-            max_i = max(
-                range(1, len(learnt)), key=lambda i: self._level[learnt[i] >> 1]
-            )
-            learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
+            return learnt, 0
+        # Backjump to the highest level among the rest; its first literal
+        # moves to the second watch.
+        max_i = 1
+        backjump = levels[learnt[1] >> 1]
+        for i in range(2, len(learnt)):
+            lv = levels[learnt[i] >> 1]
+            if lv > backjump:
+                backjump = lv
+                max_i = i
+        learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
         return learnt, backjump
 
-    def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for v in range(1, self.num_vars + 1):
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-        heappush(self._heap, (-self._activity[var], var))
+    def _rescale(self) -> None:
+        """Scale activities, the increment and the heap keys alike, so the
+        heap order keeps following the activities."""
+        scale = 1.0 / _RESCALE_LIMIT
+        activity = self._activity
+        activity[:] = [a * scale for a in activity]
+        self._var_inc *= scale
+        heap = self._heap
+        # Rounding can turn distinct keys into ties: rebuild the order.
+        heap[:] = [(key * scale, var) for key, var in heap]
+        heapify(heap)
 
     def _backtrack(self, level: int) -> None:
-        if len(self._trail_lim) <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        limit = self._trail_lim[level]
-        for lit in reversed(self._trail[limit:]):
-            var = lit >> 1
-            self._phase[var] = self._values[var]
-            self._values[var] = -1
-            self._reason[var] = None
-            heappush(self._heap, (-self._activity[var], var))
-        del self._trail[limit:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+        limit = trail_lim[level]
+        trail = self._trail
+        values = self._values
+        phase = self._phase
+        reasons = self._reason
+        activity = self._activity
+        pending = self._pending
+        heap = self._heap
+        for i in range(len(trail) - 1, limit - 1, -1):
+            var = trail[i] >> 1
+            phase[var] = values[var]
+            values[var] = -1
+            reasons[var] = None
+            if not pending[var]:
+                pending[var] = True
+                heappush(heap, (-activity[var], var))
+        del trail[limit:]
+        del trail_lim[level:]
+        self._qhead = len(trail)
 
     def _pick_branch_var(self) -> int:
-        while self._heap:
-            _, var = heappop(self._heap)
-            if self._values[var] < 0:
-                return var
-        for var in range(1, self.num_vars + 1):
-            if self._values[var] < 0:
-                return var
+        heap = self._heap
+        values = self._values
+        activity = self._activity
+        pending = self._pending
+        while heap:
+            key, var = heappop(heap)
+            if key == -activity[var]:  # else stale: a newer entry exists
+                pending[var] = False
+                if values[var] < 0:
+                    return var
         return 0
 
     def _reduce_db(self) -> None:
-        """Drop the less active half of long learnt clauses."""
+        """Drop the older half of the long learnt clauses not locked as
+        reasons (``_learnts`` is in learn order)."""
         if len(self._learnts) < 100:
             return
-        locked = set()
-        for var in range(1, self.num_vars + 1):
-            reason = self._reason[var]
-            if reason is not None:
-                locked.add(id(reason))
-        scored = sorted(
-            (c for c in self._learnts if len(c) > 2 and id(c) not in locked),
-            key=lambda c: self._cla_activity.get(id(c), 0.0),
-        )
-        drop = set(id(c) for c in scored[: len(scored) // 2])
+        locked = {id(reason) for reason in self._reason if reason is not None}
+        removable = [
+            c for c in self._learnts if len(c) > 2 and id(c) not in locked
+        ]
+        drop = {id(c) for c in removable[: len(removable) // 2]}
         if not drop:
             return
         self._learnts = [c for c in self._learnts if id(c) not in drop]
@@ -361,7 +409,6 @@ class Solver:
                     return SolveResult(False, None, self.conflicts,
                                        self.decisions, self.propagations)
                 learnt, backjump = self._analyze(conflict)
-                backjump = max(backjump, 0)
                 self._backtrack(backjump)
                 if len(learnt) == 1:
                     if not self._enqueue(learnt[0], None):
@@ -370,7 +417,6 @@ class Solver:
                 else:
                     self._attach(learnt)
                     self._learnts.append(learnt)
-                    self._cla_activity[id(learnt)] = self._var_inc
                     if not self._enqueue(learnt[0], learnt):
                         raise AssertionError("asserting literal conflict")
                 self._var_inc /= self._var_decay

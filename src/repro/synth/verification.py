@@ -17,6 +17,11 @@ selector variables ``a[i][j]`` (measurement ``s_i = XOR_j a[i][j] g_j``):
 * weight:      ``sum_{i,q} s_i[q] <= v`` via a totalizer, probed with
   assumptions so one solver run covers all weight bounds;
 * non-triviality and row symmetry breaking on the ``a`` matrix.
+
+Optimality certificate for the weight ``v`` at minimal ``u``: UNSAT at
+``v - 1``, or ``v = u * w_min`` with ``w_min = min wt(x G)`` over non-zero
+selectors ``x`` (``min_selector_weight``). Every measurement is such an
+``x G``, so no lighter set exists and the loop skips that last probe.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..pauli.group import CosetReducer
-from ..pauli.symplectic import as_bit_matrix, span_matrix
+from ..pauli.symplectic import as_bit_matrix, min_selector_weight, span_matrix
 from ..sat.cardinality import Totalizer
 from ..sat.cnf import CNF
 from ..sat.encode import encode_xor_chain
@@ -165,6 +170,7 @@ def synthesize_verification_optimal(
     if not errors:
         return None
     basis = as_bit_matrix(detection_basis)
+    floor = max(1, min_selector_weight(basis))
     for u in range(1, max_measurements + 1):
         encoder = _VerificationEncoder(basis, errors, u)
         solver = CachedSolver(encoder.cnf)
@@ -173,8 +179,8 @@ def synthesize_verification_optimal(
             continue
         measurements = encoder.extract(result.model)
         best_v = sum(int(m.sum()) for m in measurements)
-        # Tighten the weight bound until UNSAT.
-        while best_v > u:
+        # Tighten the weight bound until UNSAT or the proven floor.
+        while best_v > u * floor:
             probe = solver.solve(assumptions=encoder.totalizer.at_most(best_v - 1))
             if not probe.sat:
                 break

@@ -244,6 +244,24 @@ class TestCachedSolver:
         for a, b in zip(expected, got):
             assert (a.sat, a.model, a.conflicts) == (b.sat, b.model, b.conflicts)
 
+    def test_transcript_key_carries_the_search_revision(self, store):
+        """A transcript recorded under an older search (keyed by the bare
+        CNF digest, as before the revision was folded in) is never
+        replayed."""
+        from repro.sat.cache import _pack, transcript_key
+        from repro.sat.solver import SolveResult
+        from repro.store.keys import cnf_digest
+
+        cnf, x, y = self._tiny_cnf()
+        assert transcript_key(cnf) != cnf_digest(cnf)
+        # A forged old-search record that contradicts the formula.
+        bogus = _pack((), SolveResult(False, None, 0, 0, 0))
+        store.put_object("sat", cnf_digest(cnf), [bogus])
+        solver = CachedSolver(cnf, store=store)
+        assert solver.solve().sat is True
+        assert solver._solver is not None  # solved live, nothing replayed
+        assert len(store.get_object("sat", transcript_key(cnf))) == 1
+
     def test_synthesis_identical_with_and_without_transcripts(self, store):
         """End-to-end: a store-served synthesis (second call replays the
         SAT transcripts) produces byte-identical protocol JSON."""
