@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import time
 from datetime import datetime, timezone
@@ -116,6 +117,7 @@ def run_recorder(code_key: str, repeats: int) -> dict:
         "benchmark": "certificates_smoke",
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
         "code": code_key,
         "checkable_faults": len(
             _checkable_strata(make_sampler(protocol).locations)[0]

@@ -63,7 +63,7 @@ def bench_code(code_key: str, shots: int, k: int, seed: int) -> dict:
     x_reducer = code.x_error_reducer()
     z_reducer = code.z_error_reducer()
 
-    # Warm both engines off the clock: signature caches, CSR builds,
+    # Warm both engines off the clock: judge syndrome memos
     # and (with numba) the one-time JIT compilation of the kernels.
     batched.failures_indexed(loc_idx[:64], draw_idx[:64])
     kernel.failures_indexed(loc_idx[:64], draw_idx[:64])

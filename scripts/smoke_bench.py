@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import time
 from datetime import datetime, timezone
@@ -60,6 +61,7 @@ def run_smoke(code_key: str, shots: int, k: int, seed: int) -> dict:
         "benchmark": "sampler_smoke",
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
         "code": code_key,
         "shots": shots,
         "stratum_k": k,

@@ -29,7 +29,6 @@ from .core.protocol import DeterministicProtocol, synthesize_protocol
 from .core.serialize import dump_protocol, load_protocol
 from .sim.frame import ProtocolRunner, protocol_locations
 from .sim.logical import LogicalJudge
-from .sim.matching import MatchingDecoder
 from .sim.subset import SubsetSampler
 from .synth.plus import synthesize_plus_protocol
 from .synth.prep import prepare_zero
@@ -58,3 +57,12 @@ __all__ = [
     "synthesize_protocol",
     "two_fault_error_budget",
 ]
+
+
+def __getattr__(name: str):
+    # MatchingDecoder imports networkx (~0.1 s): load it on first use only.
+    if name == "MatchingDecoder":
+        from .sim.matching import MatchingDecoder
+
+        return MatchingDecoder
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,135 +13,90 @@ Three execution engines share one contract (see ``sim.sampler``):
 
 An explicit ``__init__`` (rather than an implicit namespace package) keeps
 ``find_packages(where="src")`` in ``setup.py`` from silently dropping
-``repro.sim`` out of installs and wheels.
+``repro.sim`` out of installs and wheels. Its exports are lazy: each one
+imports its submodule on first access, so importing one engine module
+never pulls in the cluster transport or networkx.
 """
 
-from .cluster import (
-    ClusterEvaluator,
-    ClusterExecutorFactory,
-    ClusterWorker,
-)
-from .decoder import LookupDecoder
-from .frame import Injection, ProtocolRunner, RunResult, protocol_locations
-from .logical import LogicalJudge
-from .matching import MatchingDecoder, is_matchable
-from .noise import (
-    E1_1,
-    ScaledNoiseModel,
-    compose_injections,
-    draw_counts,
-    draw_tables,
-    fault_draws,
-    materialize_stratum,
-    merge_injection_dicts,
-    sample_injections,
-    sample_injections_fixed_k,
-    sample_injections_model,
-    sample_injections_model_batch,
-    sample_injections_stratum,
-)
-from .noisemodels import (
-    BiasedPauliModel,
-    CorrelatedPairModel,
-    InhomogeneousModel,
-    SiteUniverse,
-    adjacent_2q_pairs,
-    parse_noise_spec,
-    site_universe,
-)
-from .reference import TableauProtocolRunner, TableauRunResult
-from .sampler import (
-    BatchedSampler,
-    BatchResult,
-    CompiledProtocol,
-    KernelSampler,
-    ReferenceSampler,
-    make_sampler,
-    resolve_engine_name,
-)
-from .shard import (
-    AdaptiveSlabPolicy,
-    ShardedEvaluator,
-    ShardPartial,
-    StratumPlanner,
-    merge_partials,
-    parse_mem_budget,
-    resolve_evaluator,
-)
-from .subset import (
-    DirectEstimate,
-    StratumStats,
-    SubsetEstimate,
-    SubsetSampler,
-    binomial_weight,
-    direct_mc,
-    poisson_binomial_tail,
-    poisson_binomial_weight,
-    poisson_binomial_weights,
-    tail_weight,
-    wilson_interval,
-)
-from .tableau import Tableau, run_circuit
+import importlib
 
-__all__ = [
-    "AdaptiveSlabPolicy",
-    "BatchResult",
-    "BatchedSampler",
-    "BiasedPauliModel",
-    "ClusterEvaluator",
-    "ClusterExecutorFactory",
-    "ClusterWorker",
-    "CompiledProtocol",
-    "CorrelatedPairModel",
-    "DirectEstimate",
-    "E1_1",
-    "InhomogeneousModel",
-    "Injection",
-    "KernelSampler",
-    "LogicalJudge",
-    "LookupDecoder",
-    "MatchingDecoder",
-    "ProtocolRunner",
-    "ReferenceSampler",
-    "RunResult",
-    "ScaledNoiseModel",
-    "ShardPartial",
-    "ShardedEvaluator",
-    "SiteUniverse",
-    "StratumPlanner",
-    "StratumStats",
-    "SubsetEstimate",
-    "SubsetSampler",
-    "Tableau",
-    "TableauProtocolRunner",
-    "TableauRunResult",
-    "adjacent_2q_pairs",
-    "binomial_weight",
-    "compose_injections",
-    "direct_mc",
-    "draw_counts",
-    "draw_tables",
-    "fault_draws",
-    "is_matchable",
-    "make_sampler",
-    "materialize_stratum",
-    "merge_injection_dicts",
-    "merge_partials",
-    "parse_mem_budget",
-    "parse_noise_spec",
-    "poisson_binomial_tail",
-    "poisson_binomial_weight",
-    "poisson_binomial_weights",
-    "protocol_locations",
-    "resolve_engine_name",
-    "resolve_evaluator",
-    "run_circuit",
-    "sample_injections",
-    "sample_injections_fixed_k",
-    "sample_injections_model",
-    "sample_injections_model_batch",
-    "sample_injections_stratum",
-    "site_universe",
-    "tail_weight",
-    "wilson_interval",
-]
+#: Public name -> defining submodule.
+_EXPORTS = {
+    "AdaptiveSlabPolicy": "shard",
+    "BatchResult": "sampler",
+    "BatchedSampler": "sampler",
+    "BiasedPauliModel": "noisemodels",
+    "ClusterEvaluator": "cluster",
+    "ClusterExecutorFactory": "cluster",
+    "ClusterWorker": "cluster",
+    "CompiledProtocol": "sampler",
+    "CorrelatedPairModel": "noisemodels",
+    "DirectEstimate": "subset",
+    "E1_1": "noise",
+    "InhomogeneousModel": "noisemodels",
+    "Injection": "frame",
+    "KernelSampler": "sampler",
+    "LogicalJudge": "logical",
+    "LookupDecoder": "decoder",
+    "MatchingDecoder": "matching",
+    "ProtocolRunner": "frame",
+    "ReferenceSampler": "sampler",
+    "RunResult": "frame",
+    "ScaledNoiseModel": "noise",
+    "ShardPartial": "shard",
+    "ShardedEvaluator": "shard",
+    "SiteUniverse": "noisemodels",
+    "StratumPlanner": "shard",
+    "StratumStats": "subset",
+    "SubsetEstimate": "subset",
+    "SubsetSampler": "subset",
+    "Tableau": "tableau",
+    "TableauProtocolRunner": "reference",
+    "TableauRunResult": "reference",
+    "adjacent_2q_pairs": "noisemodels",
+    "binomial_weight": "subset",
+    "compose_injections": "noise",
+    "direct_mc": "subset",
+    "draw_counts": "noise",
+    "draw_tables": "noise",
+    "fault_draws": "noise",
+    "is_matchable": "matching",
+    "make_sampler": "sampler",
+    "materialize_stratum": "noise",
+    "merge_injection_dicts": "noise",
+    "merge_partials": "shard",
+    "parse_mem_budget": "shard",
+    "parse_noise_spec": "noisemodels",
+    "poisson_binomial_tail": "subset",
+    "poisson_binomial_weight": "subset",
+    "poisson_binomial_weights": "subset",
+    "protocol_locations": "frame",
+    "resolve_engine_name": "sampler",
+    "resolve_evaluator": "shard",
+    "run_circuit": "tableau",
+    "sample_injections": "noise",
+    "sample_injections_fixed_k": "noise",
+    "sample_injections_model": "noise",
+    "sample_injections_model_batch": "noise",
+    "sample_injections_stratum": "noise",
+    "site_universe": "noisemodels",
+    "tail_weight": "subset",
+    "wilson_interval": "subset",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the submodule behind an export on first use (PEP 562), so
+    ``import repro.sim.<module>`` loads only what that module needs."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

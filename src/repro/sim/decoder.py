@@ -9,12 +9,14 @@ loop (error + correction) acts as a logical operator.
 
 Tables are built breadth-first over error weights, so entries are always
 minimum-weight representatives; all ``2^rank`` syndromes of the d < 5
-catalog codes fit comfortably.
+catalog codes fit comfortably. A table is built once per check matrix and
+shared by every decoder of that matrix.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,27 +35,7 @@ class LookupDecoder:
     def __init__(self, checks):
         self.checks = as_bit_matrix(checks)
         self.m, self.n = self.checks.shape
-        self._table: dict[bytes, np.ndarray] = {}
-        self._build()
-
-    def _build(self) -> None:
-        zero = np.zeros(self.n, dtype=np.uint8)
-        self._table[self._key(zero)] = zero
-        total = 1 << self.m
-        for weight in range(1, self.n + 1):
-            if len(self._table) == total:
-                break
-            for support in itertools.combinations(range(self.n), weight):
-                error = np.zeros(self.n, dtype=np.uint8)
-                error[list(support)] = 1
-                key = self._key(error)
-                if key not in self._table:
-                    self._table[key] = error
-        # Some syndromes may be unreachable if checks are dependent; that is
-        # fine — decode() raises only if asked for one of those.
-
-    def _key(self, error: np.ndarray) -> bytes:
-        return (self.checks @ error % 2).astype(np.uint8).tobytes()
+        self._table = _lookup_table(self.checks.shape, self.checks.tobytes())
 
     def syndrome(self, error) -> np.ndarray:
         error = np.asarray(error, dtype=np.uint8)
@@ -72,3 +54,26 @@ class LookupDecoder:
         """``error + decode(syndrome(error))`` — the post-EC residual."""
         error = np.asarray(error, dtype=np.uint8)
         return error ^ self.decode(self.syndrome(error))
+
+
+@lru_cache(maxsize=64)
+def _lookup_table(shape: tuple[int, int], data: bytes) -> dict[bytes, np.ndarray]:
+    """Syndrome bytes -> minimum-weight error, breadth-first by weight
+    (read-only entries; ``decode`` hands out copies)."""
+    checks = np.frombuffer(data, dtype=np.uint8).reshape(shape)
+    m, n = shape
+    table: dict[bytes, np.ndarray] = {}
+    total = 1 << m
+    for weight in range(n + 1):
+        if len(table) == total:
+            break
+        for support in itertools.combinations(range(n), weight):
+            error = np.zeros(n, dtype=np.uint8)
+            error[list(support)] = 1
+            key = (checks @ error % 2).astype(np.uint8).tobytes()
+            if key not in table:
+                error.setflags(write=False)
+                table[key] = error
+    # Some syndromes may be unreachable if checks are dependent; that is
+    # fine — decode() raises only if asked for one of those.
+    return table

@@ -2,13 +2,13 @@
 
 Profiling the batched engine (``repro.sim.sampler``) shows the remaining
 wall-clock is NumPy *dispatch*, not arithmetic: one segment application
-issues one ``bitwise_xor.reduce`` per outgoing component plus an argsort
+issues a gather and a ``reduceat`` for the linear map plus an argsort
 and a ``reduceat`` for the fault batch, and the residual-weight path
 broadcasts a ``(rows, span, n)`` uint8 cube just to count bits. Each of
 those is a handful of microseconds of work behind tens of microseconds
 of ufunc setup — multiplied by segments × strata × sweep points.
 
-This module holds the three hot loops as **fused kernels**, each in two
+This module holds the two hot loops as **fused kernels**, each in two
 line-for-line parallel implementations behind one dispatch:
 
 * a ``numba.njit`` version (``nopython``, ``nogil``) used when numba is
@@ -21,23 +21,18 @@ The kernels:
 
 ``apply_segment``
     One pass over the packed uint64 shot-word planes: the F2-linear
-    segment map (CSR over ``out_rows`` + ``bit_rows``), the fault-
-    signature scatter (XOR of each fault's masked shot words into its
-    signature components), and the mask merge (``(new & mask) | (old &
+    segment map (the CSR of :class:`~repro.sim.sampler.CompiledSegment`),
+    the fault-signature scatter (XOR of each fault's masked shot words
+    into its signature components), and the mask merge (``(new & mask) | (old &
     ~mask)`` for frame components, ``new & mask`` for measured bits) —
-    what the NumPy engine does with ~``components`` separate ufunc
-    calls, an argsort, and a ``reduceat``.
+    what the NumPy engine does with a gather, an argsort, and two
+    ``reduceat`` calls.
 
 ``coset_weights``
     Stabilizer-coset weight minimization over *packed* words:
     ``min_g popcount(row ^ g)`` with both the rows and the span packed 8
     bits per byte (64 per word), instead of the uint8 broadcast cube of
     :meth:`repro.pauli.group.CosetReducer.coset_weights_batch`.
-
-``scatter_masks``
-    The grouped-injection shot-mask builder: ``masks[group, word] |=
-    bit`` for every (sorted) stratum entry — ``np.bitwise_or.at`` is a
-    notoriously slow buffered ufunc loop; the kernel is the plain loop.
 
 :class:`~repro.sim.sampler.KernelSampler` (``engine="kernel"``) routes
 the batched engine through these dispatchers and is cross-validated
@@ -63,7 +58,6 @@ __all__ = [
     "backend_name",
     "apply_segment",
     "coset_weights",
-    "scatter_masks",
     "pack_rows",
 ]
 
@@ -162,15 +156,6 @@ def _np_coset_weights(rows: np.ndarray, span: np.ndarray) -> np.ndarray:
     return out
 
 
-def _np_scatter_masks(
-    masks: np.ndarray,  # (groups, words) uint64, zero-initialized
-    group_of: np.ndarray,  # (entries,) intp group id per entry
-    shot_words: np.ndarray,  # (entries,) intp word index per entry
-    shot_bits: np.ndarray,  # (entries,) uint64 bit value per entry
-) -> None:
-    np.bitwise_or.at(masks, (group_of, shot_words), shot_bits)
-
-
 # -- numba twins ---------------------------------------------------------------
 
 if NUMBA_AVAILABLE:
@@ -251,14 +236,6 @@ if NUMBA_AVAILABLE:
             out[row] = best
         return out
 
-    @_njit(cache=True, nogil=True)
-    def _nb_scatter_masks(
-        masks, group_of, shot_words, shot_bits
-    ):  # pragma: no cover - needs numba
-        for entry in range(group_of.shape[0]):
-            masks[group_of[entry], shot_words[entry]] |= shot_bits[entry]
-
-
 # -- dispatch ------------------------------------------------------------------
 
 
@@ -330,21 +307,3 @@ def coset_weights(mat: np.ndarray, span: np.ndarray) -> np.ndarray:
     else:
         weights = _np_coset_weights(rows64, span64)
     return weights[inverse.ravel()]
-
-
-def scatter_masks(
-    masks: np.ndarray,
-    group_of: np.ndarray,
-    shot_words: np.ndarray,
-    shot_bits: np.ndarray,
-) -> None:
-    """``masks[group_of[e], shot_words[e]] |= shot_bits[e]`` in place."""
-    if NUMBA_AVAILABLE:
-        _nb_scatter_masks(
-            masks,
-            np.ascontiguousarray(group_of, dtype=np.int64),
-            np.ascontiguousarray(shot_words, dtype=np.int64),
-            np.ascontiguousarray(shot_bits, dtype=np.uint64),
-        )
-    else:
-        _np_scatter_masks(masks, group_of, shot_words, shot_bits)

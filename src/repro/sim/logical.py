@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..codes.css import CSSCode
+from .bitplane import WORD, pack_shots, row_csr, unpack_shots, xor_rows
 from .decoder import LookupDecoder
 from .frame import RunResult
 
@@ -36,6 +37,18 @@ class LogicalJudge:
             LookupDecoder(code.hz) if x_decoder is None else x_decoder
         )
         self.logical_z = code.logical_z
+        checks = self.x_decoder.checks
+        self._num_checks = checks.shape[0]
+        # One CSR over the check rows, then the logical-Z rows.
+        self._rows = row_csr(np.vstack([checks, self.logical_z]))
+        # (decoded syndrome ids, sorted behind a sentinel no id reaches;
+        # the logical-Z parity id of each one's correction), replaced as
+        # one tuple so a judge shared across threads never pairs the ids
+        # of one update with the parities of another.
+        self._memo = (
+            np.asarray([np.iinfo(np.int64).max], dtype=np.int64),
+            np.zeros(1, dtype=np.int64),
+        )
 
     @classmethod
     def with_matching(cls, code: CSSCode) -> "LogicalJudge":
@@ -50,31 +63,64 @@ class LogicalJudge:
         parities = self.logical_z @ residual % 2
         return bool(parities.any())
 
-    def failure_mask(self, data_x: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`is_logical_failure` over a ``(shots, n)`` batch.
+    def failure_mask(
+        self, data_x: np.ndarray, num_shots: int | None = None
+    ) -> np.ndarray:
+        """Vectorized :meth:`is_logical_failure` over a batch of shots.
 
-        The decoder is the only non-linear step, so it runs once per
-        *distinct* syndrome in the batch; everything else is two GF(2)
-        matrix products across the whole shot axis. This makes even an
-        expensive decoder (MWPM) cost O(unique syndromes), not O(shots).
+        ``data_x`` is the packed ``(n, words)`` X plane of ``num_shots``
+        shots (bit ``s`` of word ``s // 64`` is shot ``s``) or, with
+        ``num_shots`` omitted, a ``(shots, n)`` 0/1 batch that is packed
+        first. Syndromes and raw logical parities are word XORs over the
+        plane; the decoder is the only non-linear step, and it runs once
+        per *distinct* syndrome over the judge's lifetime. This makes even
+        an expensive decoder (MWPM) cost O(unique syndromes), not O(shots).
         """
-        data_x = np.asarray(data_x, dtype=np.uint8)
-        if data_x.ndim != 2:
-            raise ValueError("expected a (shots, n) batch of X residuals")
-        if data_x.shape[0] == 0:
+        if num_shots is None:
+            data_x = np.asarray(data_x, dtype=np.uint8)
+            if data_x.ndim != 2:
+                raise ValueError("expected a (shots, n) batch of X residuals")
+            num_shots = data_x.shape[0]
+            data_x = pack_shots(data_x)
+        if num_shots == 0:
             return np.zeros(0, dtype=bool)
-        checks = self.x_decoder.checks
-        syndromes = (data_x @ checks.T) % 2  # (shots, m)
-        m = syndromes.shape[1]
-        weights = np.left_shift(np.int64(1), np.arange(m, dtype=np.int64))
-        unique_ids, inverse = np.unique(syndromes @ weights, return_inverse=True)
-        correction_parity = np.empty(
-            (unique_ids.size, self.logical_z.shape[0]), dtype=np.uint8
+        planes = np.concatenate(
+            [data_x, np.zeros((1, data_x.shape[1]), dtype=WORD)]
         )
-        for u, syndrome_id in enumerate(unique_ids):
-            bits = ((int(syndrome_id) >> np.arange(m)) & 1).astype(np.uint8)
-            correction = self.x_decoder.decode(bits)
-            correction_parity[u] = self.logical_z @ correction % 2
-        raw_parity = (data_x @ self.logical_z.T) % 2  # (shots, k)
-        parity = raw_parity ^ correction_parity[inverse]
-        return parity.any(axis=1)
+        bits = unpack_shots(xor_rows(planes, *self._rows), num_shots)
+        m = self._num_checks
+        syndromes = _bit_weights(m) @ bits[:m]
+        raw_parity = _bit_weights(bits.shape[0] - m) @ bits[m:]
+        return self._correction_parity(syndromes) != raw_parity
+
+    def _correction_parity(self, syndromes: np.ndarray) -> np.ndarray:
+        """Logical-Z parity id of the decoder's correction, per shot."""
+        known, parity = self._memo
+        at = np.searchsorted(known, syndromes)
+        fresh = known[at] != syndromes
+        if fresh.any():
+            new = np.unique(syndromes[fresh])
+            weights = _bit_weights(self.logical_z.shape[0])
+            new_parity = [
+                int(
+                    weights
+                    @ (self.logical_z @ self.x_decoder.decode(self._bits(s)) % 2)
+                )
+                for s in new.tolist()
+            ]
+            known = np.concatenate([known, new])
+            order = np.argsort(known)
+            known = known[order]
+            parity = np.concatenate([parity, new_parity])[order]
+            self._memo = (known, parity)
+            at = np.searchsorted(known, syndromes)
+        return parity[at]
+
+    def _bits(self, syndrome_id: int) -> np.ndarray:
+        return (
+            (syndrome_id >> np.arange(self._num_checks)) & 1
+        ).astype(np.uint8)
+
+
+def _bit_weights(count: int) -> np.ndarray:
+    return np.left_shift(np.int64(1), np.arange(count, dtype=np.int64))

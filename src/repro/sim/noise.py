@@ -29,6 +29,7 @@ __all__ = [
     "fault_draws",
     "draw_tables",
     "draw_counts",
+    "draw_components",
     "compose_injections",
     "merge_injection_dicts",
     "sample_injections",
@@ -253,6 +254,43 @@ def draw_tables(locations) -> tuple[tuple[Injection, ...], ...]:
     The returned tuples are shared — treat them as immutable.
     """
     return _draw_tables_cached(
+        tuple((kind, tuple(wires)) for _, kind, wires in locations)
+    )
+
+
+@lru_cache(maxsize=None)
+def _draw_components_cached(
+    location_kinds: tuple[tuple[str, tuple[int, ...]], ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    codes = []
+    flips = []
+    for table in _draw_tables_cached(location_kinds):
+        for injection in table:
+            row = [
+                2 * wire + z
+                for wire, letter in injection.paulis
+                for z, on in enumerate(_LETTER_BITS[letter])
+                if on
+            ]
+            codes.append(row + [-1] * (4 - len(row)))
+            flips.append(injection.flip)
+    codes = np.asarray(codes, dtype=np.intp).reshape(-1, 4)
+    flips = np.asarray(flips, dtype=bool)
+    codes.setflags(write=False)
+    flips.setflags(write=False)
+    return codes, flips
+
+
+def draw_components(locations) -> tuple[np.ndarray, np.ndarray]:
+    """Every draw of :func:`draw_tables`, flattened in (location, draw)
+    order, in symplectic form (cached, read-only).
+
+    Returns ``(codes, flips)``: ``codes[u]`` lists up to four inserted
+    frame components ``2 * wire + (0 for X, 1 for Z)`` padded with -1 (a
+    Y inserts both of its wire's components), and ``flips[u]`` marks a
+    measurement-outcome flip.
+    """
+    return _draw_components_cached(
         tuple((kind, tuple(wires)) for _, kind, wires in locations)
     )
 

@@ -10,21 +10,22 @@ frame and every recorded measurement flip are XORs of
 * a fixed linear image of the incoming frame, and
 * a fixed signature per injected fault draw.
 
-:class:`CompiledProtocol` therefore compiles each segment once into
-
-* ``out_rows`` — for each outgoing frame component, the list of incoming
-  components whose XOR produces it (computed by symbolic propagation with
-  integer bitmasks), and
-* a cache of per-(location, draw) fault signatures (residual wires +
-  flipped bits, computed by scalar propagation of the draw to segment end).
+:class:`CompiledSegment` computes both in one backward symbolic sweep over
+the segment: the end-of-segment image of every frame component inserted
+after every instruction. The image before the first instruction is the
+segment's linear map (one CSR, applied with a gather and a ``reduceat``);
+the images at each fault location give every draw's signature.
+:class:`CompiledProtocol` compiles every segment once and keeps a CSR
+table of signature columns for every ``(location, draw)`` unit.
 
 :class:`BatchedSampler` then executes *all shots at once*: the frame of
-shot ``s`` lives in bit ``s`` of packed ``uint64`` words, so one segment
-application is a handful of word-wide XOR reductions instead of
-``shots × instructions`` dict updates. Branch divergence is handled with
-per-shot masks — each branch segment is applied only to the shots whose
-verification signature selects it, which is exactly the reference runner's
-control flow evaluated in parallel.
+shot ``s`` lives in bit ``s`` of packed ``uint64`` words
+(:mod:`repro.sim.bitplane`), so one segment application is a handful of
+word-wide XOR reductions instead of ``shots × instructions`` dict updates.
+Branch divergence is handled with per-shot masks — each branch segment is
+applied only to the shots whose verification signature selects it, which
+is exactly the reference runner's control flow evaluated in parallel. The
+judge reads the packed data plane directly.
 
 Given the same per-shot injection dicts, the batched engine reproduces the
 reference runner **bit-for-bit**: same data frame, same recorded flips,
@@ -36,10 +37,6 @@ engines with one argument (``engine="batched" | "kernel" | "reference" |
 compiled form executed through the fused bit-plane kernels of
 :mod:`repro.sim.kernels` (numba when importable, NumPy twins otherwise),
 bit-identical to the batched engine on every consumer.
-
-Packing convention: bit ``s`` of word ``s // 64`` (little bit order), so
-byte-level views match ``np.packbits(..., bitorder="little")`` on
-little-endian hosts.
 """
 
 from __future__ import annotations
@@ -59,14 +56,15 @@ from ..circuits.gates import (
     ResetX,
     ResetZ,
 )
-from ..core.faults import PauliFrame, apply_instruction
 from ..core.protocol import DeterministicProtocol
+from .bitplane import WORD as _WORD
+from .bitplane import num_words as _num_words
+from .bitplane import pack_shots, row_csr, unpack_shots, xor_rows
 from .frame import Injection, ProtocolRunner, RunResult, protocol_locations
 from .logical import LogicalJudge
-from .noise import draw_tables, materialize_stratum
+from .noise import draw_components, draw_counts, draw_tables, materialize_stratum
 
 __all__ = [
-    "FaultSignature",
     "CompiledSegment",
     "CompiledProtocol",
     "BatchResult",
@@ -77,23 +75,10 @@ __all__ = [
     "resolve_engine_name",
 ]
 
-_WORD = np.uint64
 _ONE = np.uint64(1)
 
 
 # -- bit packing --------------------------------------------------------------
-
-
-def _num_words(num_shots: int) -> int:
-    return (num_shots + 63) // 64
-
-
-def _pack_flags(flags: np.ndarray, words: int) -> np.ndarray:
-    """(S,) 0/1 array -> (words,) uint64, bit s of word s//64 = shot s."""
-    packed = np.packbits(np.asarray(flags, dtype=np.uint8), bitorder="little")
-    out = np.zeros(words * 8, dtype=np.uint8)
-    out[: packed.size] = packed
-    return out.view(_WORD)
 
 
 def _pack_shot_indices(shots: Sequence[int], words: int) -> np.ndarray:
@@ -106,140 +91,110 @@ def _pack_shot_indices(shots: Sequence[int], words: int) -> np.ndarray:
 
 def _unpack_words(packed: np.ndarray, num_shots: int) -> np.ndarray:
     """(words,) uint64 -> (S,) uint8 of the low ``num_shots`` bits."""
-    return np.unpackbits(
-        np.ascontiguousarray(packed).view(np.uint8),
-        bitorder="little",
-        count=num_shots,
-    )
+    return unpack_shots(packed[None, :], num_shots)[0]
 
 
-def _mask_to_rows(mask: int) -> np.ndarray:
-    """Integer bitmask -> sorted array of set-bit indices."""
-    rows = []
-    index = 0
-    while mask:
-        if mask & 1:
-            rows.append(index)
-        mask >>= 1
-        index += 1
-    return np.asarray(rows, dtype=np.intp)
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal consecutive entries (non-empty
+    keys; a run ends where any key changes)."""
+    change = np.empty(keys[0].size, dtype=bool)
+    change[0] = True
+    np.not_equal(keys[0][1:], keys[0][:-1], out=change[1:])
+    for key in keys[1:]:
+        change[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(change)
 
 
 # -- compilation --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FaultSignature:
-    """End-of-segment image of one injected fault draw."""
-
-    x_wires: tuple[int, ...]
-    z_wires: tuple[int, ...]
-    flips: tuple[str, ...]
-
-
 class CompiledSegment:
-    """F2-linear form of one protocol segment.
+    """F2-linear form of one protocol segment, from one backward sweep.
 
-    ``out_rows[i]`` lists the incoming state components (x wires first,
-    then z wires, ``2 * num_wires`` total) whose XOR yields outgoing
-    component ``i``; ``bit_rows`` does the same for each measured bit.
-    Fault signatures are propagated lazily per (instruction index, draw)
-    and cached — strata hit the same few hundred draws over and over.
+    Outgoing components are the x wires (``0 .. W-1``), the z wires
+    (``W .. 2W-1``) and each measured bit (``2W + slot``, ``bit_names``
+    in measurement order). ``images[i, c]`` is the end-of-segment image,
+    a row over the outgoing components packed 8 per byte (XOR commutes
+    with packing; :meth:`unpack` opens rows), of frame component ``c``
+    inserted right after instruction ``i`` (row ``2W`` is all zero, the
+    padding of :meth:`CompiledProtocol` gathers).
+
+    The image before the first instruction is the segment's own map,
+    kept transposed as a CSR (``indptr``, ``indices``) over incoming
+    frame components: outgoing component ``o`` is the XOR of the listed
+    ones, and an empty row lists component ``2W``, a zero plane the
+    engine appends to the incoming frame.
     """
 
-    def __init__(self, key: tuple, circuit: Circuit, num_wires: int):
-        self.key = key
-        self.circuit = circuit
+    def __init__(self, circuit: Circuit, num_wires: int):
         self.num_wires = num_wires
-        sym_x = [1 << w for w in range(num_wires)]
-        sym_z = [1 << (num_wires + w) for w in range(num_wires)]
-        bit_masks: list[tuple[str, int]] = []
-        for ins in circuit.instructions:
+        instructions = circuit.instructions
+        measured = [
+            index
+            for index, ins in enumerate(instructions)
+            if isinstance(ins, (MeasureZ, MeasureX))
+        ]
+        self.bit_names = [instructions[index].bit for index in measured]
+        self.flip_slot = np.full(len(instructions), -1, dtype=np.intp)
+        self.flip_slot[measured] = np.arange(len(measured))
+        frame = 2 * num_wires
+        post = np.zeros((frame + 1, frame + len(measured)), dtype=bool)
+        post[np.arange(frame), np.arange(frame)] = True
+        self.num_components = post.shape[1]
+        images = np.empty((len(instructions),) + post.shape, dtype=bool)
+        for index in range(len(instructions) - 1, -1, -1):
+            images[index] = post
+            ins = instructions[index]
+            # Pull each image back through the instruction: a component
+            # inserted before it reaches what its forward image reaches.
             if isinstance(ins, CX):
-                sym_x[ins.target] ^= sym_x[ins.control]
-                sym_z[ins.control] ^= sym_z[ins.target]
+                post[ins.control] ^= post[ins.target]
+                post[num_wires + ins.target] ^= post[num_wires + ins.control]
             elif isinstance(ins, H):
                 q = ins.qubit
-                sym_x[q], sym_z[q] = sym_z[q], sym_x[q]
+                post[[q, num_wires + q]] = post[[num_wires + q, q]]
             elif isinstance(ins, (ResetZ, ResetX)):
-                sym_x[ins.qubit] = 0
-                sym_z[ins.qubit] = 0
+                post[[ins.qubit, num_wires + ins.qubit]] = False
             elif isinstance(ins, MeasureZ):
-                bit_masks.append((ins.bit, sym_x[ins.qubit]))
+                post[ins.qubit, frame + self.flip_slot[index]] ^= True
             elif isinstance(ins, MeasureX):
-                bit_masks.append((ins.bit, sym_z[ins.qubit]))
-            elif isinstance(ins, ConditionalPauli):
-                pass
-            else:
+                post[num_wires + ins.qubit, frame + self.flip_slot[index]] ^= True
+            elif not isinstance(ins, ConditionalPauli):
                 raise TypeError(f"unknown instruction {ins!r}")
-        self.out_rows = [_mask_to_rows(m) for m in sym_x + sym_z]
-        self.bit_rows = [(bit, _mask_to_rows(m)) for bit, m in bit_masks]
-        self.bit_names = [bit for bit, _ in bit_masks]
-        self._bit_slot = {bit: i for i, bit in enumerate(self.bit_names)}
-        self._signatures: dict[tuple[int, Injection], FaultSignature] = {}
-        self._sig_columns: dict[tuple[int, Injection], np.ndarray] = {}
-        self._sig_columns_by_id: dict[
-            tuple[int, int], tuple[Injection, np.ndarray]
-        ] = {}
+        self.images = np.packbits(images, axis=-1)
+        self.indptr, self.indices = row_csr(post[:frame].T)
 
-    def fault_signature(self, index: int, injection: Injection) -> FaultSignature:
-        """Propagated image of ``injection`` after instruction ``index``."""
-        cache_key = (index, injection)
-        signature = self._signatures.get(cache_key)
-        if signature is None:
-            frame = PauliFrame.zero(self.num_wires)
-            if injection.flip:
-                frame.flip(self.circuit.instructions[index].bit)
-            else:
-                for wire, letter in injection.paulis:
-                    frame.insert(wire, letter)
-            for ins in self.circuit.instructions[index + 1 :]:
-                apply_instruction(frame, ins)
-            signature = FaultSignature(
-                x_wires=tuple(int(w) for w in np.nonzero(frame.x)[0]),
-                z_wires=tuple(int(w) for w in np.nonzero(frame.z)[0]),
-                flips=tuple(sorted(frame.flipped_bits())),
-            )
-            self._signatures[cache_key] = signature
-        return signature
+    def unpack(self, rows: np.ndarray) -> np.ndarray:
+        """Packed image rows -> bool rows over the outgoing components."""
+        return np.unpackbits(rows, axis=-1, count=self.num_components).view(bool)
 
-    def signature_columns(self, index: int, injection: Injection) -> np.ndarray:
-        """Signature as component ids: x wire ``w`` -> ``w``, z wire ``w`` ->
-        ``num_wires + w``, flipped bit -> ``2 * num_wires + bit slot``.
-
-        The id-keyed fast path exploits that draw-table injections are
-        shared canonical instances (``repro.sim.noise.draw_tables``), so the
-        hot loop skips hashing the injection's nested tuples; the pinned
-        reference keeps the id stable.
-        """
-        id_key = (index, id(injection))
-        hit = self._sig_columns_by_id.get(id_key)
-        if hit is not None and hit[0] is injection:
-            return hit[1]
-        cache_key = (index, injection)
-        columns = self._sig_columns.get(cache_key)
-        if columns is None:
-            signature = self.fault_signature(index, injection)
-            offset = 2 * self.num_wires
-            columns = np.asarray(
-                [
-                    *signature.x_wires,
-                    *(self.num_wires + w for w in signature.z_wires),
-                    *(offset + self._bit_slot[b] for b in signature.flips),
-                ],
-                dtype=np.intp,
-            )
-            self._sig_columns[cache_key] = columns
-        self._sig_columns_by_id[id_key] = (injection, columns)
-        return columns
+    def injection_columns(self, index: int, injection: Injection) -> np.ndarray:
+        """Outgoing component ids flipped by ``injection`` after
+        instruction ``index``: the XOR of its components' images."""
+        image = self.images[index]
+        row = np.zeros(image.shape[1], dtype=np.uint8)
+        for wire, letter in injection.paulis:
+            if letter in "XY":
+                row ^= image[wire]
+            if letter in "ZY":
+                row ^= image[self.num_wires + wire]
+        row = self.unpack(row)
+        if injection.flip:
+            if self.flip_slot[index] < 0:
+                raise ValueError(f"flip injected at unmeasured instruction {index}")
+            row[2 * self.num_wires + self.flip_slot[index]] ^= True
+        return np.flatnonzero(row)
 
 
 class CompiledProtocol:
     """All segments of a protocol in compiled F2-linear form.
 
-    Also caches the static location universe and the per-location fault
-    draw tables, so every fault-set consumer (stratum sampling, exact
-    enumeration, certificates, Bernoulli batches) shares one table build.
+    Also holds the static location universe, the per-location fault draw
+    tables, and the signature table of every ``(location, draw)`` unit:
+    unit ``unit_offset[loc] + draw`` flips the outgoing components
+    ``unit_cols[unit_ptr[u]:unit_ptr[u + 1]]`` of segment
+    ``segment_keys[unit_segment[u]]``. Locations (hence units) are
+    contiguous per segment.
     """
 
     def __init__(self, protocol: DeterministicProtocol):
@@ -253,9 +208,48 @@ class CompiledProtocol:
                 self._add(("branch", li, signature), branch.circuit)
         self.locations = protocol_locations(protocol)
         self.draw_tables = draw_tables(self.locations)
+        counts = draw_counts(self.locations)
+        self.unit_offset = np.concatenate(([0], np.cumsum(counts)))
+        codes, flips = draw_components(self.locations)
+        frame = 2 * self.num_wires
+        # Component ids of each unit's inserted Paulis; -1 pads to the
+        # zero image row ``frame``.
+        components = np.where(
+            codes < 0, frame, (codes >> 1) + (codes & 1) * self.num_wires
+        )
+        self.segment_keys: list[tuple] = []
+        segment_of_loc = np.empty(len(self.locations), dtype=np.intp)
+        for loc, ((segment_key, _), _, _) in enumerate(self.locations):
+            if not self.segment_keys or self.segment_keys[-1] != segment_key:
+                self.segment_keys.append(segment_key)
+            segment_of_loc[loc] = len(self.segment_keys) - 1
+        self.unit_segment = np.repeat(segment_of_loc, counts)
+        instruction = np.repeat(
+            [index for (_, index), _, _ in self.locations], counts
+        ).astype(np.intp)
+        lengths = [np.zeros(0, dtype=np.int64)]
+        columns = [np.zeros(0, dtype=np.intp)]
+        bounds = np.searchsorted(
+            self.unit_segment, np.arange(len(self.segment_keys) + 1)
+        )
+        for s, segment_key in enumerate(self.segment_keys):
+            lo, hi = bounds[s], bounds[s + 1]
+            segment = self.segments[segment_key]
+            at = instruction[lo:hi]
+            rows = segment.unpack(
+                np.bitwise_xor.reduce(
+                    segment.images[at[:, None], components[lo:hi]], axis=1
+                )
+            )
+            flipped = np.flatnonzero(flips[lo:hi])
+            rows[flipped, frame + segment.flip_slot[at[flipped]]] ^= True
+            lengths.append(rows.sum(axis=1))
+            columns.append(np.nonzero(rows)[1])
+        self.unit_ptr = np.concatenate(([0], np.cumsum(np.concatenate(lengths))))
+        self.unit_cols = np.concatenate(columns).astype(np.intp)
 
     def _add(self, key: tuple, circuit: Circuit) -> None:
-        self.segments[key] = CompiledSegment(key, circuit, self.num_wires)
+        self.segments[key] = CompiledSegment(circuit, self.num_wires)
 
 
 # -- batched execution --------------------------------------------------------
@@ -267,8 +261,8 @@ class _SegmentFaults:
 
     ``masks[f]`` selects the shots carrying fault ``f``; ``columns`` is the
     concatenation of every fault's signature component ids (see
-    :meth:`CompiledSegment.signature_columns`) with ``counts[f]`` entries
-    per fault — exactly the arrays the XOR-reduceat application consumes.
+    :class:`CompiledProtocol`) with ``counts[f]`` entries per fault —
+    exactly the arrays the XOR-reduceat application consumes.
     """
 
     masks: np.ndarray  # (faults, words) uint64
@@ -349,7 +343,7 @@ class _PackedState:
         self.x = np.zeros((num_wires, self.words), dtype=_WORD)
         self.z = np.zeros((num_wires, self.words), dtype=_WORD)
         self.bits: dict[str, np.ndarray] = {}
-        self.alive = _pack_flags(np.ones(num_shots, dtype=np.uint8), self.words)
+        self.alive = pack_shots(np.ones((num_shots, 1), dtype=np.uint8))[0]
         self.terminated = np.zeros(self.words, dtype=_WORD)
         self.branch_records: list[tuple[int, tuple, tuple, np.ndarray]] = []
 
@@ -379,21 +373,6 @@ class BatchedSampler:
         self.compiled = CompiledProtocol(protocol)
         self.n = protocol.code.n
         self.locations = self.compiled.locations
-        self._draw_tables = self.compiled.draw_tables
-        self._max_draws = max(len(table) for table in self._draw_tables)
-        # protocol_locations lists each segment's locations contiguously;
-        # precompute the location -> segment map so indexed batches group
-        # by segment with one diff instead of per-location lookups.
-        self._segment_keys: list[tuple] = []
-        self._loc_segment = np.empty(len(self.locations), dtype=np.intp)
-        for loc, ((segment_key, _), _, _) in enumerate(self.locations):
-            if not self._segment_keys or self._segment_keys[-1] != segment_key:
-                self._segment_keys.append(segment_key)
-            self._loc_segment[loc] = len(self._segment_keys) - 1
-        self._loc_instruction = np.asarray(
-            [index for (_, index), _, _ in self.locations], dtype=np.intp
-        )
-        self._pair_columns: dict[int, np.ndarray] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -425,11 +404,8 @@ class BatchedSampler:
 
     def failures(self, injections_per_shot: Sequence[dict]) -> np.ndarray:
         """Logical-failure verdict per shot (the Monte-Carlo fast path)."""
-        if len(injections_per_shot) == 0:
-            return np.zeros(0, dtype=bool)
         state = self._execute(injections_per_shot)
-        data_x = self._unpack_data(state.x, state.num_shots)
-        return self.judge.failure_mask(data_x)
+        return self.judge.failure_mask(state.x[: self.n], state.num_shots)
 
     def failures_indexed(
         self, loc_idx: np.ndarray, draw_idx: np.ndarray
@@ -444,13 +420,9 @@ class BatchedSampler:
         of ``shots`` dict traversals.
         """
         num_shots = loc_idx.shape[0]
-        if num_shots == 0:
-            return np.zeros(0, dtype=bool)
-        words = _num_words(num_shots)
-        grouped = self._group_indexed(loc_idx, draw_idx, words)
+        grouped = self._group_indexed(loc_idx, draw_idx, _num_words(num_shots))
         state = self._execute_grouped(grouped, num_shots)
-        data_x = self._unpack_data(state.x, state.num_shots)
-        return self.judge.failure_mask(data_x)
+        return self.judge.failure_mask(state.x[: self.n], num_shots)
 
     def residual_weights(
         self, injections_per_shot: Sequence[dict], x_reducer, z_reducer
@@ -491,104 +463,60 @@ class BatchedSampler:
             z_reducer.coset_weights_dedup(data_z),
         )
 
-    def _columns_of_pair(self, pair: int) -> np.ndarray:
-        """Signature component ids of one (location, draw) pair, cached."""
-        columns = self._pair_columns.get(pair)
-        if columns is None:
-            location = pair // self._max_draws
-            (segment_key, index), _, _ = self.locations[location]
-            injection = self._draw_tables[location][pair % self._max_draws]
-            segment = self.compiled.segments[segment_key]
-            columns = segment.signature_columns(index, injection)
-            self._pair_columns[pair] = columns
-        return columns
-
-    @staticmethod
-    def _build_group_masks(
-        num_groups: int,
-        words: int,
-        group_of: np.ndarray,
-        sorted_shots: np.ndarray,
-    ) -> np.ndarray:
-        """All per-group shot masks in one scatter (kernel-overridable)."""
-        masks = np.zeros((num_groups, words), dtype=_WORD)
-        shot_words = (sorted_shots >> 6).astype(np.intp)
-        shot_bits = _ONE << (sorted_shots.astype(np.uint64) & np.uint64(63))
-        np.bitwise_or.at(masks, (group_of, shot_words), shot_bits)
-        return masks
-
     def _group_indexed(
         self, loc_idx: np.ndarray, draw_idx: np.ndarray, words: int
     ) -> dict[tuple, _SegmentFaults]:
         """Indexed stratum batch -> per-segment packed fault batches."""
+        compiled = self.compiled
         num_shots, k = loc_idx.shape
         grouped: dict[tuple, _SegmentFaults] = {}
-        if k == 0:
-            return grouped
         flat_loc = loc_idx.ravel()
-        flat_draw = draw_idx.ravel()
-        shot_ids = np.repeat(np.arange(num_shots, dtype=np.intp), k)
-        valid = flat_loc >= 0  # masked slots from variable-weight batches
-        if not valid.all():
-            flat_loc = flat_loc[valid]
-            flat_draw = flat_draw[valid]
-            shot_ids = shot_ids[valid]
-        if flat_loc.size == 0:
+        valid = np.flatnonzero(flat_loc >= 0)  # masked variable-weight slots
+        if valid.size == 0:
             return grouped
-        pair_ids = flat_loc * self._max_draws + flat_draw
-        # Sort by (pair, shot) and cancel even multiplicities: a shot
+        units = compiled.unit_offset[flat_loc[valid]] + draw_idx.ravel()[valid]
+        # Sort by (unit, shot) and cancel even multiplicities: a shot
         # carrying the identical (location, draw) twice composes to the
         # identity under the XOR semantics (correlated pair sites can
         # overlap a base fault like that; uniform strata never repeat a
-        # location within a shot, so this is a no-op for them).
-        combo = pair_ids.astype(np.int64) * num_shots + shot_ids
-        unique, multiplicity = np.unique(combo, return_counts=True)
-        odd = unique[multiplicity % 2 == 1]
-        if odd.size == 0:
+        # location within a shot).
+        keys = np.sort(units * num_shots + valid // k)
+        first = _run_starts(keys)
+        odd = np.diff(first, append=keys.size) % 2 == 1
+        units, shots = np.divmod(keys[first[odd]], num_shots)
+        if units.size == 0:
             return grouped
-        sorted_pairs = (odd // num_shots).astype(pair_ids.dtype)
-        sorted_shots = (odd % num_shots).astype(np.intp)
-        boundaries = np.flatnonzero(np.diff(sorted_pairs)) + 1
-        starts = np.concatenate([[0], boundaries])
-        # All per-group shot masks in one scatter instead of a packing
-        # call per group (the certificate path has one group per shot).
-        num_groups = starts.size
-        group_of = np.zeros(sorted_pairs.size, dtype=np.intp)
-        group_of[boundaries] = 1
+        # Shot masks: OR each (unit, word) run of shot bits in one reduceat.
+        word = shots >> 6
+        group_starts = _run_starts(units)
+        runs = _run_starts(units, word)
+        group_of = np.zeros(units.size, dtype=np.intp)
+        group_of[group_starts[1:]] = 1
         np.cumsum(group_of, out=group_of)
-        masks = self._build_group_masks(num_groups, words, group_of, sorted_shots)
-        # Locations (and hence sorted pair ids) are contiguous per segment,
-        # so the per-segment runs fall out of one more diff.
-        pairs_at = sorted_pairs[starts]
-        segment_of = self._loc_segment[pairs_at // self._max_draws]
-        seg_bounds = np.concatenate(
-            ([0], np.flatnonzero(np.diff(segment_of)) + 1, [num_groups])
+        group_units = units[group_starts]
+        masks = np.zeros((group_units.size, words), dtype=_WORD)
+        masks[group_of[runs], word[runs]] = np.bitwise_or.reduceat(
+            np.left_shift(_ONE, (shots & 63).astype(np.uint64)), runs
         )
-        for lo, hi in zip(seg_bounds[:-1], seg_bounds[1:]):
-            segment_key = self._segment_keys[int(segment_of[lo])]
-            column_arrays = [
-                self._columns_of_pair(int(pair)) for pair in pairs_at[lo:hi]
-            ]
-            grouped[segment_key] = _SegmentFaults(
-                masks=masks[lo:hi],
-                columns=np.concatenate(column_arrays)
-                if column_arrays
-                else np.zeros(0, dtype=np.intp),
-                counts=np.asarray(
-                    [columns.size for columns in column_arrays],
-                    dtype=np.intp,
-                ),
+        # Each group's signature columns, gathered from the unit table.
+        lo = compiled.unit_ptr[group_units]
+        counts = compiled.unit_ptr[group_units + 1] - lo
+        ends = np.cumsum(counts)
+        columns = compiled.unit_cols[
+            np.repeat(lo - ends + counts, counts) + np.arange(ends[-1])
+        ]
+        segment_of = compiled.unit_segment[group_units]
+        bounds = np.append(_run_starts(segment_of), segment_of.size)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            grouped[compiled.segment_keys[segment_of[a]]] = _SegmentFaults(
+                masks=masks[a:b],
+                columns=columns[ends[a] - counts[a] : ends[b - 1]],
+                counts=counts[a:b],
             )
         return grouped
 
     def _unpack_data(self, packed: np.ndarray, num_shots: int) -> np.ndarray:
-        bits = np.unpackbits(
-            np.ascontiguousarray(packed[: self.n]).view(np.uint8),
-            axis=1,
-            bitorder="little",
-            count=num_shots,
-        )
-        return np.ascontiguousarray(bits.T)
+        return np.ascontiguousarray(unpack_shots(packed[: self.n], num_shots).T)
 
     def _group_injections(
         self, injections_per_shot: Sequence[dict], words: int
@@ -604,7 +532,7 @@ class BatchedSampler:
         for segment_key, draws in by_draw.items():
             segment = self.compiled.segments[segment_key]
             column_arrays = [
-                segment.signature_columns(index, injection)
+                segment.injection_columns(index, injection)
                 for (index, injection) in draws
             ]
             grouped[segment_key] = _SegmentFaults(
@@ -686,56 +614,32 @@ class BatchedSampler:
         faults: dict,
     ) -> None:
         segment = self.compiled.segments[segment_key]
-        num_wires = self.compiled.num_wires
-        incoming = np.concatenate([state.x, state.z], axis=0)
-        outgoing = np.zeros_like(incoming)
-        for component, rows in enumerate(segment.out_rows):
-            if rows.size == 1:
-                outgoing[component] = incoming[rows[0]]
-            elif rows.size:
-                outgoing[component] = np.bitwise_xor.reduce(incoming[rows], axis=0)
-        new_bits: dict[str, np.ndarray] = {}
-        for bit, rows in segment.bit_rows:
-            if rows.size:
-                new_bits[bit] = np.bitwise_xor.reduce(incoming[rows], axis=0)
-            else:
-                new_bits[bit] = np.zeros(state.words, dtype=_WORD)
+        frame = 2 * self.compiled.num_wires
+        incoming = np.concatenate(
+            [state.x, state.z, np.zeros((1, state.words), dtype=_WORD)]
+        )
+        out = xor_rows(incoming, segment.indptr, segment.indices)
         entry = faults.get(segment_key)
         if entry is not None and entry.columns.size:
             # Apply all fault signatures with one XOR reduction per touched
             # component instead of a word-op per (fault, wire): sort the
             # (fault row, component) incidence by component, then reduceat
             # the masked shot rows at the component boundaries.
-            fault_masks = entry.masks & mask
             rows = np.repeat(
                 np.arange(entry.counts.size, dtype=np.intp), entry.counts
             )
             order = np.argsort(entry.columns, kind="stable")
             sorted_columns = entry.columns[order]
-            starts = np.concatenate(
-                ([0], np.flatnonzero(np.diff(sorted_columns)) + 1)
+            starts = _run_starts(sorted_columns)
+            out[sorted_columns[starts]] ^= np.bitwise_xor.reduceat(
+                (entry.masks & mask)[rows[order]], starts, axis=0
             )
-            reduced = np.bitwise_xor.reduceat(
-                fault_masks[rows[order]], starts, axis=0
-            )
-            components = sorted_columns[starts]
-            wire_limit = 2 * num_wires
-            wire_sel = components < wire_limit
-            outgoing[components[wire_sel]] ^= reduced[wire_sel]
-            for component, flip_words in zip(
-                components[~wire_sel], reduced[~wire_sel]
-            ):
-                # Signature flips only name bits measured later in this
-                # same segment, so they are always present in new_bits;
-                # a KeyError here would mean the compilation model was
-                # violated.
-                bit = segment.bit_names[int(component) - wire_limit]
-                new_bits[bit] ^= flip_words
-        keep = ~mask
-        state.x = (outgoing[:num_wires] & mask) | (state.x & keep)
-        state.z = (outgoing[num_wires:] & mask) | (state.z & keep)
-        for bit, values in new_bits.items():
-            state.bits[bit] = values & mask
+        out &= mask
+        out[:frame] |= incoming[:frame] & ~mask
+        state.x = out[: frame // 2]
+        state.z = out[frame // 2 : frame]
+        for slot, bit in enumerate(segment.bit_names):
+            state.bits[bit] = out[frame + slot]
 
 
 # -- compiled kernel tier -----------------------------------------------------
@@ -746,9 +650,9 @@ class KernelSampler(BatchedSampler):
     :mod:`repro.sim.kernels` (``engine="kernel"``).
 
     Semantically this *is* :class:`BatchedSampler` — same compilation,
-    same grouping, same judge — but the three dispatch-bound inner loops
-    (segment application, residual coset popcounts, grouped-mask
-    scatter) run as fused kernels: numba-compiled when numba is
+    same grouping, same judge — but the two dispatch-bound inner loops
+    (segment application and residual coset popcounts) run as fused
+    kernels: numba-compiled when numba is
     importable (:func:`repro.sim.kernels.available`), else their
     pure-NumPy twins. Either way the results are **bit-identical** to
     the NumPy batched engine — pinned across every catalog code and
@@ -763,10 +667,6 @@ class KernelSampler(BatchedSampler):
 
     name = "kernel"
 
-    def __init__(self, protocol: DeterministicProtocol, judge: LogicalJudge | None = None):
-        super().__init__(protocol, judge=judge)
-        self._segment_csr: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
     @property
     def backend(self) -> str:
         """``"numba"`` or ``"numpy"`` — resolved per process, never
@@ -775,46 +675,6 @@ class KernelSampler(BatchedSampler):
         from . import kernels
 
         return kernels.backend_name()
-
-    def _csr_of(self, segment: CompiledSegment) -> tuple[np.ndarray, np.ndarray]:
-        """Segment linear map as one CSR over frame + bit components.
-
-        Row ``c`` lists the incoming components whose XOR produces
-        outgoing component ``c``; rows ``2 * num_wires + slot`` are the
-        measured bits in ``bit_rows`` order — the same component ids
-        :meth:`CompiledSegment.signature_columns` emits, so the fault
-        scatter lands in the same rows.
-        """
-        cached = self._segment_csr.get(segment.key)
-        if cached is None:
-            row_lists = list(segment.out_rows) + [
-                rows for _, rows in segment.bit_rows
-            ]
-            counts = np.asarray([rows.size for rows in row_lists], dtype=np.int64)
-            indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-            indices = (
-                np.concatenate(row_lists).astype(np.int64)
-                if len(row_lists)
-                else np.zeros(0, dtype=np.int64)
-            )
-            cached = (indptr, indices)
-            self._segment_csr[segment.key] = cached
-        return cached
-
-    def _build_group_masks(
-        self,
-        num_groups: int,
-        words: int,
-        group_of: np.ndarray,
-        sorted_shots: np.ndarray,
-    ) -> np.ndarray:
-        from . import kernels
-
-        masks = np.zeros((num_groups, words), dtype=_WORD)
-        shot_words = (sorted_shots >> 6).astype(np.intp)
-        shot_bits = _ONE << (sorted_shots.astype(np.uint64) & np.uint64(63))
-        kernels.scatter_masks(masks, group_of, shot_words, shot_bits)
-        return masks
 
     def _state_residual_weights(
         self, state: "_PackedState", x_reducer, z_reducer
@@ -842,8 +702,10 @@ class KernelSampler(BatchedSampler):
 
         segment = self.compiled.segments[segment_key]
         num_wires = self.compiled.num_wires
-        indptr, indices = self._csr_of(segment)
-        incoming = np.concatenate([state.x, state.z], axis=0)
+        indptr, indices = segment.indptr, segment.indices
+        incoming = np.concatenate(
+            [state.x, state.z, np.zeros((1, state.words), dtype=_WORD)]
+        )
         out = np.zeros((indptr.size - 1, state.words), dtype=_WORD)
         entry = faults.get(segment_key)
         if entry is not None and entry.columns.size:

@@ -744,6 +744,17 @@ class StratumPlanner:
             i += 1
         return i, i + 1 + remaining
 
+    def _pair_positions(
+        self, lo: int, hi: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Unit positions ``(a, b)`` of every pair id in ``[lo, hi)``."""
+        num = self._pair_units()[0].size
+        rows = np.arange(num, dtype=np.int64)
+        row_start = rows * num - rows * (rows + 1) // 2
+        pair_ids = np.arange(lo, hi, dtype=np.int64)
+        a = np.searchsorted(row_start, pair_ids, side="right") - 1
+        return a, pair_ids - row_start[a] + a + 1
+
     def plan_pairs(self) -> Iterator[PairChunk]:
         """Chunk the pair enumeration, bounding expanded runs per chunk."""
         _, counts = self._pair_units()
@@ -768,34 +779,22 @@ class StratumPlanner:
     def materialize_unit_pairs(
         self, chunk: PairChunk
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One pair chunk as ``(runs, 2)`` *unit*-level arrays + pair ids."""
+        """One pair chunk as ``(runs, 2)`` *unit*-level arrays + pair ids.
+
+        Each pair expands to its draw × draw runs in row-major order
+        (first unit's draw major).
+        """
         units, counts = self._pair_units()
-        num = counts.size
-        i, j = self.pair_of(chunk.lo)
-        loc_blocks: list[np.ndarray] = []
-        draw_blocks: list[np.ndarray] = []
-        pair_blocks: list[np.ndarray] = []
-        for pair_id in range(chunk.lo, chunk.hi):
-            num_i, num_j = int(counts[i]), int(counts[j])
-            runs = num_i * num_j
-            loc = np.empty((runs, 2), dtype=np.intp)
-            loc[:, 0] = units[i]
-            loc[:, 1] = units[j]
-            draw = np.empty((runs, 2), dtype=np.intp)
-            draw[:, 0] = np.repeat(np.arange(num_i, dtype=np.intp), num_j)
-            draw[:, 1] = np.tile(np.arange(num_j, dtype=np.intp), num_i)
-            loc_blocks.append(loc)
-            draw_blocks.append(draw)
-            pair_blocks.append(np.full(runs, pair_id, dtype=np.intp))
-            j += 1
-            if j == num:
-                i += 1
-                j = i + 1
-        return (
-            np.concatenate(loc_blocks),
-            np.concatenate(draw_blocks),
-            np.concatenate(pair_blocks),
-        )
+        a, b = self._pair_positions(chunk.lo, chunk.hi)
+        runs = counts[a] * counts[b]
+        pair = np.repeat(np.arange(a.size), runs)
+        offset = np.arange(pair.size) - np.repeat(np.cumsum(runs) - runs, runs)
+        loc = np.empty((pair.size, 2), dtype=np.intp)
+        loc[:, 0] = units[a][pair]
+        loc[:, 1] = units[b][pair]
+        draw = np.empty((pair.size, 2), dtype=np.intp)
+        draw[:, 0], draw[:, 1] = np.divmod(offset, counts[b][pair])
+        return loc, draw, (chunk.lo + pair).astype(np.intp)
 
     def materialize_pairs(
         self, chunk: PairChunk
@@ -824,26 +823,13 @@ class StratumPlanner:
     def pair_weights(self, chunk: PairChunk) -> np.ndarray:
         """Per-run weights of each pair in ``[chunk.lo, chunk.hi)``.
 
-        One incremental (i, j) walk over the range — no per-pair
-        triangular inversion — for the chunk-local mass accumulation.
         (Uniform path: within one pair every draw × draw run shares this
         weight; heterogeneous chunks get per-run weights from
         :meth:`pair_run_weights` instead.)
         """
         _, counts = self._pair_units()
-        num = counts.size
-        pairs = self.num_pairs()
-        i, j = self.pair_of(chunk.lo)
-        weights = np.empty(chunk.hi - chunk.lo, dtype=np.float64)
-        for offset in range(chunk.hi - chunk.lo):
-            weights[offset] = 1.0 / (
-                pairs * int(counts[i]) * int(counts[j])
-            )
-            j += 1
-            if j == num:
-                i += 1
-                j = i + 1
-        return weights
+        a, b = self._pair_positions(chunk.lo, chunk.hi)
+        return 1.0 / (self.num_pairs() * counts[a] * counts[b])
 
     def pair_run_weights(
         self,

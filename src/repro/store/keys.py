@@ -46,6 +46,7 @@ import json
 import pickle
 
 __all__ = [
+    "ENGINE_REVISION",
     "budget_key",
     "chunk_key",
     "cnf_digest",
@@ -81,14 +82,21 @@ def payload_digest(payload_bytes: bytes) -> str:
     return sha256_hex(payload_bytes)
 
 
+#: Layout revision of pickled engines (``repro.sim.sampler``). Bump it
+#: whenever the compiled form changes attributes, so engines pickled by
+#: an older layout are never loaded: they live under other keys.
+ENGINE_REVISION = 2
+
+
 def engine_key(protocol, engine_name: str, judge=None) -> str | None:
     """Disk key of a compiled engine; None when the judge can't be named.
 
     Built on the canonical protocol JSON digest (stable across
     processes and pickle round-trips), not the payload pickle — see the
-    module docstring for why. The default ``judge=None`` tokenizes to
-    ``"none"``; a custom judge is tokenized by its pickle, and an
-    unpicklable judge disables caching for that call.
+    module docstring for why — plus :data:`ENGINE_REVISION`. The default
+    ``judge=None`` tokenizes to ``"none"``; a custom judge is tokenized
+    by its pickle, and an unpicklable judge disables caching for that
+    call.
     """
     token = model_token(judge)
     if not token:
@@ -99,6 +107,7 @@ def engine_key(protocol, engine_name: str, judge=None) -> str | None:
             "protocol": protocol_digest(protocol),
             "engine": engine_name,
             "judge": token,
+            "revision": ENGINE_REVISION,
         }
     )
 

@@ -1,5 +1,7 @@
 """Unit tests for the lookup-table decoder (perfect EC round)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,44 @@ class TestGeneralDecoders:
         decoder = LookupDecoder([[1, 1, 0], [1, 1, 0]])
         with pytest.raises(ValueError):
             decoder.decode(np.array([1, 0], dtype=np.uint8))
+
+
+def _breadth_first_table(checks):
+    """The lookup table as every decoder built it for itself: first
+    minimum-weight error per syndrome, weights in increasing order."""
+    m, n = checks.shape
+    table = {}
+    for weight in range(n + 1):
+        for support in itertools.combinations(range(n), weight):
+            error = np.zeros(n, dtype=np.uint8)
+            error[list(support)] = 1
+            table.setdefault((checks @ error % 2).astype(np.uint8).tobytes(), error)
+    return table
+
+
+class TestSharedTables:
+    @pytest.mark.parametrize("key", ["steane", "shor", "carbon", "16_2_4"])
+    def test_decode_results_unchanged(self, key):
+        checks = get_code(key).hz
+        decoder = LookupDecoder(checks)
+        expected = _breadth_first_table(decoder.checks)
+        assert list(decoder._table) == list(expected)
+        for syndrome, error in expected.items():
+            decoded = decoder.decode(np.frombuffer(syndrome, dtype=np.uint8))
+            np.testing.assert_array_equal(decoded, error)
+            decoded[:] ^= 1  # callers get a copy, never the shared entry
+        np.testing.assert_array_equal(
+            decoder.decode(np.zeros(checks.shape[0], dtype=np.uint8)),
+            np.zeros(checks.shape[1], dtype=np.uint8),
+        )
+
+    def test_two_judges_of_one_code_share_one_build(self):
+        from repro.sim import decoder as decoder_module
+        from repro.sim.logical import LogicalJudge
+
+        code = get_code("carbon")
+        decoder_module._lookup_table.cache_clear()
+        first = LogicalJudge(code)
+        second = LogicalJudge(code)
+        assert first.x_decoder._table is second.x_decoder._table
+        assert decoder_module._lookup_table.cache_info().misses == 1

@@ -4,7 +4,7 @@
 The tier's whole contract is *bit-identity at higher speed*: the kernels
 (numba-compiled when importable, pure-NumPy twins otherwise) must
 reproduce the batched engine exactly — on the primitive level (packing,
-segment application, popcount reduction, mask scatter), on the engine
+segment application, popcount reduction), on the engine
 level (verdicts, residual weights, full runs), and through every routed
 consumer (subset sampler, ftcheck, budgets, direct MC). ``engine="auto"``
 must resolve without error on any interpreter.
@@ -20,7 +20,6 @@ from repro.sim.kernels import (
     apply_segment,
     coset_weights,
     pack_rows,
-    scatter_masks,
 )
 from repro.sim.noise import E1_1, sample_injections_stratum
 from repro.sim.sampler import (
@@ -123,21 +122,6 @@ class TestKernelPrimitives:
         expected[:frame] |= incoming[:frame] & ~mask
         expected[frame:] &= mask
         np.testing.assert_array_equal(out, expected)
-
-    def test_scatter_masks_matches_or_oracle(self):
-        rng = np.random.default_rng(13)
-        groups, words, entries = 11, 8, 180
-        group_of = rng.integers(0, groups, size=entries).astype(np.intp)
-        shot_words = rng.integers(0, words, size=entries).astype(np.intp)
-        shot_bits = (
-            np.uint64(1) << rng.integers(0, 64, size=entries).astype(np.uint64)
-        )
-        masks = np.zeros((groups, words), dtype=np.uint64)
-        scatter_masks(masks, group_of, shot_words, shot_bits)
-        expected = np.zeros_like(masks)
-        for entry in range(entries):
-            expected[group_of[entry], shot_words[entry]] |= shot_bits[entry]
-        np.testing.assert_array_equal(masks, expected)
 
     def test_backend_name_consistent_with_available(self):
         assert kernels.backend_name() == (

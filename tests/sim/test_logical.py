@@ -82,3 +82,92 @@ class TestJudgeOnProtocols:
             assert not judge.is_logical_failure(result), (
                 f"single fault at {location} caused a logical failure"
             )
+
+
+class TestPackedJudge:
+    """``failure_mask`` on packed ``(n, words)`` planes against the
+    per-shot judge, for the lookup and the matching decoder."""
+
+    SHOT_COUNTS = [0, 1, 63, 64, 65, 130, 777]
+
+    @staticmethod
+    def judges():
+        from repro.codes.catalog import get_code
+
+        for key in ["steane", "shor", "surface_3", "carbon", "16_2_4"]:
+            yield key, LogicalJudge(get_code(key))
+        for key in ["shor", "surface_3"]:
+            yield f"{key}+matching", LogicalJudge.with_matching(get_code(key))
+
+    def test_packed_matches_per_shot(self):
+        from repro.sim.bitplane import pack_shots
+
+        rng = np.random.default_rng(5)
+        for name, judge in self.judges():
+            n = judge.code.n
+            for shots in self.SHOT_COUNTS:
+                # Sparse and dense residuals: many syndromes, both verdicts.
+                density = rng.choice([0.1, 0.5])
+                data = (rng.random((shots, n)) < density).astype(np.uint8)
+                expected = np.array(
+                    [judge.is_logical_failure(result_with(row, n)) for row in data],
+                    dtype=bool,
+                )
+                packed = judge.failure_mask(pack_shots(data), shots)
+                unpacked = judge.failure_mask(data)
+                assert packed.dtype == bool and packed.shape == (shots,), name
+                np.testing.assert_array_equal(packed, expected, err_msg=name)
+                np.testing.assert_array_equal(unpacked, expected, err_msg=name)
+
+    def test_empty_batch_both_forms(self):
+        judge = LogicalJudge(steane_code())
+        assert judge.failure_mask(np.zeros((0, 7), dtype=np.uint8)).size == 0
+        assert judge.failure_mask(np.zeros((7, 0), dtype=np.uint64), 0).size == 0
+
+    def test_each_syndrome_decoded_once_per_judge(self):
+        judge = LogicalJudge(steane_code())
+        calls = []
+        decode = judge.x_decoder.decode
+        judge.x_decoder.decode = lambda s: calls.append(bytes(s)) or decode(s)
+        data = (np.random.default_rng(1).random((500, 7)) < 0.3).astype(np.uint8)
+        first = judge.failure_mask(data)
+        assert len(calls) == len(set(calls)) == 8  # every steane syndrome
+        np.testing.assert_array_equal(judge.failure_mask(data), first)
+        assert len(calls) == 8
+
+    def test_judge_shared_across_threads(self):
+        """Threads filling one judge's syndrome memo concurrently (a
+        daemon's compute threads share engines) get the verdicts a
+        private judge gives."""
+        import sys
+        import threading
+
+        from repro.codes.catalog import get_code
+
+        code = get_code("16_2_4")
+        rng = np.random.default_rng(9)
+        batches = [
+            (rng.random((300, code.n)) < 0.2).astype(np.uint8) for _ in range(8)
+        ]
+        expected = [LogicalJudge(code).failure_mask(b) for b in batches]
+        shared = LogicalJudge(code)
+        got = [None] * len(batches)
+
+        def work(i):
+            got[i] = shared.failure_mask(batches[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(i,)) for i in range(len(batches))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for want, have in zip(expected, got):
+            np.testing.assert_array_equal(have, want)

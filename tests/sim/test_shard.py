@@ -414,3 +414,98 @@ class TestSamplerIntegration:
         assert sampler._evaluator is first  # one pool per sampler
         sampler.close()
         assert sampler._evaluator is None
+
+
+def _loop_unit_pairs(planner, chunk):
+    """The per-pair expansion loop the vectorized planner replaced."""
+    units, counts = planner._pair_units()
+    num = counts.size
+    i, j = planner.pair_of(chunk.lo)
+    loc_blocks, draw_blocks, pair_blocks, weights = [], [], [], []
+    for pair_id in range(chunk.lo, chunk.hi):
+        num_i, num_j = int(counts[i]), int(counts[j])
+        runs = num_i * num_j
+        loc = np.empty((runs, 2), dtype=np.intp)
+        loc[:, 0] = units[i]
+        loc[:, 1] = units[j]
+        draw = np.empty((runs, 2), dtype=np.intp)
+        draw[:, 0] = np.repeat(np.arange(num_i, dtype=np.intp), num_j)
+        draw[:, 1] = np.tile(np.arange(num_j, dtype=np.intp), num_i)
+        loc_blocks.append(loc)
+        draw_blocks.append(draw)
+        pair_blocks.append(np.full(runs, pair_id, dtype=np.intp))
+        weights.append(1.0 / (planner.num_pairs() * num_i * num_j))
+        j += 1
+        if j == num:
+            i += 1
+            j = i + 1
+    return (
+        np.concatenate(loc_blocks),
+        np.concatenate(draw_blocks),
+        np.concatenate(pair_blocks),
+        np.asarray(weights),
+    )
+
+
+class TestVectorizedPairExpansion:
+    """``materialize_unit_pairs`` / ``pair_weights`` against the loop."""
+
+    @staticmethod
+    def _planners():
+        from repro.sim.noisemodels import CorrelatedPairModel
+
+        engine = make_sampler(cached_protocol("carbon"))
+        yield engine, StratumPlanner(engine.locations)
+        engine = make_sampler(cached_protocol("steane"))
+        model = CorrelatedPairModel(p=1e-3, pair_rate=5e-4)
+        yield engine, StratumPlanner(engine.locations, model=model)
+
+    def test_random_chunk_bounds_match_the_loop(self):
+        from repro.sim.shard import PairChunk
+
+        rng = np.random.default_rng(31)
+        for _, planner in self._planners():
+            total = planner.num_pairs()
+            bounds = [(0, 1), (0, 300), (total - 300, total), (total - 1, total)]
+            for _ in range(25):
+                lo = int(rng.integers(0, total))
+                bounds.append((lo, int(rng.integers(lo + 1, min(total, lo + 400) + 1))))
+            for lo, hi in bounds:
+                chunk = PairChunk(index=0, lo=lo, hi=hi)
+                loc, draw, pairs, weights = _loop_unit_pairs(planner, chunk)
+                got = planner.materialize_unit_pairs(chunk)
+                for array, expected in zip(got, (loc, draw, pairs)):
+                    assert array.dtype == expected.dtype
+                    np.testing.assert_array_equal(array, expected)
+                if not planner.heterogeneous:
+                    assert planner.pair_weights(chunk).tolist() == weights.tolist()
+
+    def test_correlated_pairs_cancel_like_the_reference(self):
+        """Masked ``(runs, 4)`` rows, including rows that carry one
+        (location, draw) twice — a pair site overlapping a base fault,
+        which cancels — judged like the per-shot reference."""
+        from repro.sim.sampler import ReferenceSampler
+
+        engine, planner = list(self._planners())[1]
+        picked_loc, picked_draw = [], []
+        rng = np.random.default_rng(7)
+        for chunk in planner.plan_pairs():
+            loc_idx, draw_idx, _ = planner.materialize_pairs(chunk)
+            assert loc_idx.shape[1] == 4
+            key = np.where(loc_idx >= 0, loc_idx * 16 + draw_idx, -1)
+            key.sort(axis=1)
+            twice = ((key[:, 1:] == key[:, :-1]) & (key[:, 1:] >= 0)).any(axis=1)
+            rows = np.flatnonzero(twice)[:40]
+            rows = np.union1d(rows, rng.choice(loc_idx.shape[0], 20, replace=False))
+            picked_loc.append(loc_idx[rows])
+            picked_draw.append(draw_idx[rows])
+        loc_idx = np.concatenate(picked_loc)
+        draw_idx = np.concatenate(picked_draw)
+        assert (loc_idx < 0).any()
+        key = np.where(loc_idx >= 0, loc_idx * 16 + draw_idx, -1)
+        key.sort(axis=1)
+        assert ((key[:, 1:] == key[:, :-1]) & (key[:, 1:] >= 0)).any(axis=1).sum() > 100
+        np.testing.assert_array_equal(
+            engine.failures_indexed(loc_idx, draw_idx),
+            ReferenceSampler(engine.protocol).failures_indexed(loc_idx, draw_idx),
+        )

@@ -10,6 +10,7 @@ SAT transcripts.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.codes.catalog import get_code
@@ -102,6 +103,32 @@ class TestEngineCache:
         rebuilt = make_sampler(protocol)
         assert isinstance(rebuilt, BatchedSampler)
         assert rebuilt.protocol.code.name == "Steane"
+
+    def test_old_layout_engine_under_old_key_is_a_miss(self, store):
+        protocol = synthesize_protocol(get_code("steane"))
+        # The key scheme before ENGINE_REVISION, and an engine shaped
+        # like that layout: no signature table, no segment CSR.
+        old_key = keys._json_key(
+            {
+                "artifact": "engine",
+                "protocol": keys.protocol_digest(protocol),
+                "engine": "batched",
+                "judge": "none",
+            }
+        )
+        assert keys.engine_key(protocol, "batched", None) != old_key
+        stale = make_sampler(protocol, store=False)
+        del stale.compiled.unit_ptr, stale.compiled.unit_cols
+        for segment in stale.compiled.segments.values():
+            del segment.indptr, segment.indices, segment.images
+        store.put_object("engine", old_key, stale)
+        served = make_sampler(protocol)
+        assert served is not stale
+        assert hasattr(served.compiled, "unit_ptr")
+        loc_idx = np.zeros((3, 1), dtype=np.intp)
+        assert served.failures_indexed(loc_idx, loc_idx).shape == (3,)
+        kinds = [e.key for e in store.entries() if e.kind == "engine"]
+        assert keys.engine_key(protocol, "batched", None) in kinds
 
 
 class TestCertificateCache:
